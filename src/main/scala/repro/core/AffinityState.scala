@@ -79,45 +79,6 @@ final class AffinityState(val g: WGraph) {
     }
   }
 
-  /** Applies a simultaneous update `x(vs(i)) = values(i)` (the replicator
-    * dynamic changes every coordinate at once), then rebuilds the support
-    * list and recomputes `(Dx)` over the touched set.
-    */
-  def bulkSetX(vs: Array[Int], values: Array[Double]): Unit = {
-    require(vs.length == values.length)
-    var i = 0
-    while (i < vs.length) {
-      val u = vs(i)
-      x(u) = values(i)
-      touch(u)
-      i += 1
-    }
-    supportList.clear()
-    var t = 0
-    while (t < touchedList.length) {
-      val u = touchedList(t)
-      inSupport(u) = x(u) > 0.0
-      if (inSupport(u)) supportList += u
-      t += 1
-    }
-    recomputeDx()
-  }
-
-  /** Recomputes `(Dx)_u` for all touched vertices from scratch (used by the
-    * replicator baseline, whose updates change every coordinate at once).
-    */
-  def recomputeDx(): Unit = {
-    var i = 0
-    while (i < touchedList.length) { dx(touchedList(i)) = 0.0; i += 1 }
-    i = 0
-    while (i < supportList.length) {
-      val u = supportList(i)
-      val xu = x(u)
-      g.foreachNbr(u) { (v, w) => dx(v) += w * xu; touch(v) }
-      i += 1
-    }
-  }
-
   /** Zeroes every touched entry, returning the state to `x = 0`. */
   def reset(): Unit = {
     var i = 0

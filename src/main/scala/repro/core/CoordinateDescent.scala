@@ -15,16 +15,18 @@ object CoordinateDescent {
   /** Default precision: the paper uses `eps = 1e-2 / |S|`. */
   def epsFor(supportSize: Int): Double = 1e-2 / math.max(1, supportSize)
 
+  private val MaxIter = 2000000
+
   /** Runs 2-coordinate descent restricted to the vertex set `allowed`.
     *
     * Vertices outside `allowed` keep `x = 0`; vertices inside may enter or
     * leave the support. Returns the number of iterations performed.
     */
-  def descend(st: AffinityState, allowed: Array[Int], eps: Double, maxIter: Int = 2000000): Int = {
+  def descend(st: AffinityState, allowed: Array[Int], eps: Double): Int = {
     val g = st.g
     var iter = 0
     var done = false
-    while (!done && iter < maxIter) {
+    while (!done && iter < MaxIter) {
       // i = argmax_{k in allowed, x_k < 1} grad_k ; j = argmin_{k in allowed, x_k > 0} grad_k
       var i = -1; var gi = Double.NegativeInfinity
       var j = -1; var gj = Double.PositiveInfinity

@@ -7,12 +7,11 @@ import org.apache.spark.sql.functions._
   * (Bahmani, Kumar & Vassilvitskii, PVLDB 2012 — reference [2] of the paper).
   *
   * Each round computes weighted degrees with a shuffle aggregation and drops
-  * every vertex whose degree is at most `2 (1 + eps) rho`, where
-  * `rho = W(S)/|S|` is the current average degree — `O(log n)` rounds instead
+  * every vertex whose degree is at most `(1 + eps)` times the current
+  * average degree `rho = W(S)/|S|` — `O(log n)` rounds instead
   * of the `n` rounds of exact peeling. On positive-weight graphs this is a
-  * `2(1+eps)`-approximation of the densest subgraph; DCSGreedy uses it as the
-  * scale-out candidate generator for `Greedy(G_{D+})`, mirroring how the
-  * local Algorithm 1 is used at driver scale.
+  * `2(1+eps)`-approximation of the densest subgraph: the Spark-side
+  * counterpart of the local `Peeling.greedy` (Algorithm 1).
   */
 object DistPeeling {
 
@@ -22,17 +21,19 @@ object DistPeeling {
   /** Result: vertex ids of the best round plus its density and the trace. */
   final case class DistPeelResult(best: Array[Long], density: Double, rounds: Seq[Round])
 
+  private val MaxRounds = 200
+
   /** Peels `edges` (canonical `src < dst`, `w` column) down to empty,
     * returning the densest intermediate vertex set.
     */
-  def densest(edges: DataFrame, eps: Double = 0.1, maxRounds: Int = 200): DistPeelResult = {
+  def densest(edges: DataFrame, eps: Double = 0.1): DistPeelResult = {
     var cur = edges.select("src", "dst", "w").localCheckpoint(true)
     var best: Array[Long] = Array.empty
     var bestDensity = Double.NegativeInfinity
     val rounds = scala.collection.mutable.ArrayBuffer.empty[Round]
     var round = 0
     var done = false
-    while (!done && round < maxRounds) {
+    while (!done && round < MaxRounds) {
       round += 1
       val degrees = cur
         .select(col("src") as "v", col("w"))

@@ -24,9 +24,11 @@ object ReplicatorSea {
       if (fOld <= 0.0) done = true // no internal positive weight: dynamic is undefined/stalled
       else {
         val sup = st.support
-        // simultaneous update: compute all new values first, then apply in bulk
+        // simultaneous update: compute every new value from the old x and Dx
+        // before applying any of them
         val newX = sup.map(u => st.x(u) * st.dx(u) / fOld)
-        st.bulkSetX(sup, newX)
+        var i = 0
+        while (i < sup.length) { st.setX(sup(i), newX(i)); i += 1 }
         st.renormalize()
         val fNew = st.f
         iter += 1
@@ -37,16 +39,18 @@ object ReplicatorSea {
     iter
   }
 
-  /** Full SEA: shrink + expansion until no candidate remains. The outer cap
-    * is small because a shrink stage that failed to reach a local KKT point
-    * can make the shrink/expand loop cycle (the very failure mode Table VII
-    * counts).
+  /** Outer-iteration cap of [[run]]. It is small because a shrink stage that
+    * failed to reach a local KKT point can make the shrink/expand loop cycle
+    * (the very failure mode Table VII counts).
     */
-  def run(st: AffinityState, maxOuter: Int = 200): Seacd.Trace = {
+  private val MaxOuter = 200
+
+  /** Full SEA: shrink + expansion until no candidate remains. */
+  def run(st: AffinityState): Seacd.Trace = {
     var errors = 0
     var outer = 0
     var done = false
-    while (!done && outer < maxOuter) {
+    while (!done && outer < MaxOuter) {
       outer += 1
       replicatorShrink(st)
       val fBefore = st.f

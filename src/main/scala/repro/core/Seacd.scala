@@ -18,21 +18,24 @@ object Seacd {
   /** Outcome bookkeeping for one run. */
   final case class Trace(result: AffinityResult, seaIterations: Int, expansionErrors: Int)
 
-  /** Runs SEACD from the current state of `st` (callers `initAt` a seed).
-    *
-    * @param expTol  tolerance for the expansion-candidate test, guarding the
-    *                approximate KKT reached by finite-precision descent
+  /** Floor of the expansion-candidate tolerance, guarding the approximate KKT
+    * reached by finite-precision descent.
     */
-  def run(st: AffinityState, expTol: Double = 1e-9, maxOuter: Int = 10000): Trace = {
+  private val ExpTol = 1e-9
+
+  private val MaxOuter = 10000
+
+  /** Runs SEACD from the current state of `st` (callers `initAt` a seed). */
+  def run(st: AffinityState): Trace = {
     var allowed = st.support
     var errors = 0
     var outer = 0
     var done = false
-    while (!done && outer < maxOuter) {
+    while (!done && outer < MaxOuter) {
       outer += 1
       CoordinateDescent.descend(st, allowed, CoordinateDescent.epsFor(allowed.length))
       val fBefore = st.f
-      val z = Expansion.candidates(st, math.max(expTol, math.abs(fBefore) * 1e-9))
+      val z = Expansion.candidates(st, math.max(ExpTol, math.abs(fBefore) * 1e-9))
       if (z.isEmpty) done = true
       else {
         val fAfter = Expansion.expand(st, z)

@@ -124,19 +124,24 @@ object DiffGraph {
 
   /** Collects a canonical edge-list DataFrame into the local CSR kernel.
     *
-    * Vertex ids must lie in `[0, n)`. This is the hand-off point between the
-    * data-parallel graph-construction phase and the driver-side local-search
-    * algorithms (SEACD/NewSEA/Refinement), whose working sets are tiny.
+    * Vertex ids must lie in `[0, n)`; any other id fails fast. This is the
+    * hand-off point between the data-parallel graph-construction phase and
+    * the driver-side local-search algorithms (SEACD/NewSEA/Refinement), whose
+    * working sets are tiny.
     */
   def toWGraph(diff: DataFrame, n: Int): WGraph = {
     val rows = diff.select(col("src").cast("long"), col("dst").cast("long"), col("w").cast("double")).collect()
     val us = new Array[Int](rows.length)
     val vs = new Array[Int](rows.length)
     val ws = new Array[Double](rows.length)
+    def vertex(id: Long): Int = {
+      require(id >= 0 && id < n, s"vertex id $id outside [0, $n)")
+      id.toInt
+    }
     var i = 0
     while (i < rows.length) {
-      us(i) = rows(i).getLong(0).toInt
-      vs(i) = rows(i).getLong(1).toInt
+      us(i) = vertex(rows(i).getLong(0))
+      vs(i) = vertex(rows(i).getLong(1))
       ws(i) = rows(i).getDouble(2)
       i += 1
     }

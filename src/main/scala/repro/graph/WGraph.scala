@@ -68,19 +68,8 @@ final class WGraph private (
     0.0
   }
 
-  /** Whether `(u, v)` is an edge. */
-  def hasEdge(u: Int, v: Int): Boolean = u != v && {
-    var lo = offsets(u); var hi = offsets(u + 1) - 1
-    var found = false
-    while (lo <= hi && !found) {
-      val mid = (lo + hi) >>> 1
-      val m = nbrs(mid)
-      if (m == v) found = true
-      else if (m < v) lo = mid + 1
-      else hi = mid - 1
-    }
-    found
-  }
+  /** Whether `(u, v)` is an edge (stored weights are never 0). */
+  def hasEdge(u: Int, v: Int): Boolean = weight(u, v) != 0.0
 
   /** Total degree `W(S)` of the induced subgraph `G(S)` — both orientations
     * of each edge counted, per the paper's convention (see [[totalWeight]]).
@@ -149,8 +138,10 @@ final class WGraph private (
     out.toSeq
   }
 
-  /** A new graph keeping only edges with strictly positive weight (`G_{D+}`). */
-  def positivePart: WGraph = {
+  /** The graph keeping only edges with strictly positive weight (`G_{D+}`),
+    * built on first use and shared by every caller.
+    */
+  lazy val positivePart: WGraph = {
     val us = mutable.ArrayBuffer.empty[Int]
     val vs = mutable.ArrayBuffer.empty[Int]
     val ws = mutable.ArrayBuffer.empty[Double]
@@ -247,7 +238,7 @@ object WGraph {
   /** Builds a graph from one record per undirected edge.
     *
     * Requires `0 <= us(i), vs(i) < n` and `us(i) != vs(i)`; duplicate pairs
-    * (in either orientation) must not occur. Zero-weight edges are dropped.
+    * (in either orientation) are rejected. Zero-weight edges are dropped.
     */
   def fromEdges(n: Int, us: Array[Int], vs: Array[Int], ws: Array[Double]): WGraph = {
     require(us.length == vs.length && vs.length == ws.length, "parallel edge arrays")
@@ -277,6 +268,11 @@ object WGraph {
         val sn = idx.map(nbrs); val sw = idx.map(wts)
         var k = 0
         while (k < idx.length) { nbrs(from + k) = sn(k); wts(from + k) = sw(k); k += 1 }
+        k = from + 1
+        while (k < until) {
+          require(nbrs(k) != nbrs(k - 1), s"duplicate edge ($u, ${nbrs(k)})")
+          k += 1
+        }
       }
       u += 1
     }

@@ -55,22 +55,6 @@ class AffinityStateSpec extends AnyFunSuite {
     assert(st.dx(1) == 5.0)
   }
 
-  test("bulkSetX matches sequential setX results") {
-    val g = TestKit.randomSigned(10, 0.5, 2.0, 3)
-    val st1 = new AffinityState(g)
-    val st2 = new AffinityState(g)
-    (0 until 5).foreach(u => { st1.setX(u, 0.2); st2.setX(u, 0.2) })
-    val vs = Array(0, 1, 2, 3, 4)
-    val values = Array(0.4, 0.3, 0.2, 0.1, 0.0)
-    st1.bulkSetX(vs, values)
-    vs.zip(values).foreach { case (u, v) => st2.setX(u, v) }
-    (0 until 10).foreach { u =>
-      assert(math.abs(st1.dx(u) - st2.dx(u)) < 1e-12, s"u=$u")
-      assert(st1.x(u) == st2.x(u))
-    }
-    assert(st1.support.toSet == st2.support.toSet)
-  }
-
   test("renormalize restores unit mass") {
     val g = WGraph(2, Seq((0, 1, 1.0)))
     val st = new AffinityState(g)

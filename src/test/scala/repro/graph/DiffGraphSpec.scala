@@ -134,6 +134,16 @@ class DiffGraphSpec extends SparkSpec {
     assert(rows == diff.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSet)
   }
 
+  test("toWGraph rejects vertex ids outside [0, n)") {
+    // 2^32 + 5 would narrow to vertex 5; 8 is one past the last vertex
+    for (bad <- Seq((1L << 32) + 5L, 8L, -1L)) {
+      val e = intercept[IllegalArgumentException] {
+        DiffGraph.toWGraph(df(Seq((1L, 2L, 1.0), (3L, bad, 2.0))), 8)
+      }
+      assert(e.getMessage.contains(s"vertex id $bad"), e.getMessage)
+    }
+  }
+
   test("degree aggregation agrees with DuckDB (oracle)") {
     val diff = DiffGraph.difference(g1, g2)
     val degrees = diff

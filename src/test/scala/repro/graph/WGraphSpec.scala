@@ -23,6 +23,13 @@ class WGraphSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] { WGraph(2, Seq((1, 1, 1.0))) }
   }
 
+  test("duplicate pairs are rejected in either orientation") {
+    for (dup <- Seq((0, 1, 2.0), (1, 0, 2.0))) {
+      val e = intercept[IllegalArgumentException] { WGraph(3, Seq((0, 1, 1.0), (1, 2, 1.0), dup)) }
+      assert(e.getMessage.contains("duplicate edge (0, 1)"), e.getMessage)
+    }
+  }
+
   test("weight is symmetric and 0 for absent edges") {
     assert(triangle.weight(0, 1) == 1.0)
     assert(triangle.weight(1, 0) == 1.0)
@@ -93,6 +100,7 @@ class WGraphSpec extends AnyFunSuite {
     assert(p.numEdges == 2)
     assert(p.weight(0, 1) == 2.0 && p.weight(3, 4) == 4.0)
     assert(!p.hasEdge(1, 2))
+    assert(signed.positivePart eq p, "G_{D+} is built once per graph")
   }
 
   test("negated flips every weight") {
