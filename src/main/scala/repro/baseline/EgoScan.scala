@@ -22,20 +22,25 @@ object EgoScan {
 
   final case class EgoScanResult(s: Array[Int], totalWeight: Double)
 
-  /** Runs the scan. Seeds are the `maxSeeds` vertices with the largest
+  /** Seeds scanned per run, moves per local search and vertices per ego net. */
+  private val MaxSeeds = 64
+  private val MaxMoves = 200000
+  private val MaxEgoSize = 4000
+
+  /** Runs the scan. Seeds are the `MaxSeeds` vertices with the largest
     * positive weighted degree (scanning every ego-net, as the original does,
     * only adds seeds that converge to the same local optima).
     */
-  def run(gD: WGraph, maxSeeds: Int = 64, maxMoves: Int = 200000): EgoScanResult = {
+  def run(gD: WGraph): EgoScanResult = {
     val posDeg = Array.tabulate(gD.n) { u =>
       var s = 0.0
       gD.foreachNbr(u) { (_, w) => if (w > 0) s += w }
       s
     }
-    val seeds = (0 until gD.n).filter(posDeg(_) > 0.0).sortBy(u => -posDeg(u)).take(maxSeeds)
+    val seeds = (0 until gD.n).filter(posDeg(_) > 0.0).sortBy(u => -posDeg(u)).take(MaxSeeds)
     var best = EgoScanResult(Array.empty, 0.0)
     for (seed <- seeds) {
-      val r = localSearch(gD, seed, maxMoves)
+      val r = localSearch(gD, seed)
       if (r.totalWeight > best.totalWeight) best = r
     }
     best
@@ -44,11 +49,11 @@ object EgoScan {
   /** Hill-climbs `W_D(S)` from `{seed} + positive neighbors of seed`,
     * restricted — as in the original EgoScan — to the seed's (2-hop) ego net.
     */
-  def localSearch(gD: WGraph, seed: Int, maxMoves: Int, maxEgoSize: Int = 4000): EgoScanResult = {
+  private def localSearch(gD: WGraph, seed: Int): EgoScanResult = {
     // 2-hop ego net of the seed: the candidate universe for this scan
     val allowed = new Array[Boolean](gD.n)
     var egoSize = 0
-    def allow(u: Int): Unit = if (!allowed(u) && egoSize < maxEgoSize) { allowed(u) = true; egoSize += 1 }
+    def allow(u: Int): Unit = if (!allowed(u) && egoSize < MaxEgoSize) { allowed(u) = true; egoSize += 1 }
     allow(seed)
     gD.foreachNbr(seed) { (v, _) => allow(v) }
     val oneHop = (0 until gD.n).filter(allowed)
@@ -81,7 +86,7 @@ object EgoScan {
 
     var moves = 0
     var improved = true
-    while (improved && moves < maxMoves) {
+    while (improved && moves < MaxMoves) {
       improved = false
       // best add: candidate u not in S with marginal > 0;
       // best remove: u in S with marginal < 0

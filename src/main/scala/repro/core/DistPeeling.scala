@@ -12,6 +12,12 @@ import org.apache.spark.sql.functions._
   * of the `n` rounds of exact peeling. On positive-weight graphs this is a
   * `2(1+eps)`-approximation of the densest subgraph: the Spark-side
   * counterpart of the local `Peeling.greedy` (Algorithm 1).
+  *
+  * A round materializes two tables: the degree table of the surviving
+  * vertices (one aggregate of it gives `|S|` and `W(S)`) and the edges among
+  * the vertices above the threshold, which the next round starts from. The
+  * degree table of the best round already lists the answer, so vertex ids
+  * are collected to the driver once, after the last round.
   */
 object DistPeeling {
 
@@ -28,13 +34,11 @@ object DistPeeling {
     */
   def densest(edges: DataFrame, eps: Double = 0.1): DistPeelResult = {
     var cur = edges.select("src", "dst", "w").localCheckpoint(true)
-    var best: Array[Long] = Array.empty
+    var best: DataFrame = null
     var bestDensity = Double.NegativeInfinity
     val rounds = scala.collection.mutable.ArrayBuffer.empty[Round]
-    var round = 0
     var done = false
-    while (!done && round < MaxRounds) {
-      round += 1
+    while (!done && rounds.size < MaxRounds) {
       val degrees = cur
         .select(col("src") as "v", col("w"))
         .unionAll(cur.select(col("dst") as "v", col("w")))
@@ -43,35 +47,28 @@ object DistPeeling {
         .localCheckpoint(true)
       val agg = degrees.agg(count("*") as "n", sum("deg") as "degSum").collect()(0)
       val nV = agg.getLong(0)
-      if (nV == 0) done = true
+      // an unchanged vertex count means the last threshold removed nobody,
+      // which only happens when rho < 0 (it then sits below the average
+      // degree); no progress is possible, so stop
+      if (nV == 0 || rounds.lastOption.exists(_.size == nV)) done = true
       else {
         // W counts both orientations (paper convention), so W = sum of degrees
         // and rho = W/|S| is the average vertex degree
         val totalW = agg.getDouble(1)
         val rho = totalW / nV
         rounds += Round(nV, totalW, rho)
-        if (rho > bestDensity) {
-          bestDensity = rho
-          best = degrees.select("v").collect().map(_.getLong(0))
-        }
-        val threshold = (1.0 + eps) * rho
-        val keep = degrees.where(col("deg") > threshold).select("v").localCheckpoint(true)
-        val kept = keep.count()
-        // kept == nV can only happen when rho < 0 (the threshold then sits
-        // below the average degree); no progress is possible, so stop
-        if (kept == 0L || kept == nV) done = true
-        else {
-          cur = cur
-            .join(keep.withColumnRenamed("v", "src"), Seq("src"))
-            .join(keep.withColumnRenamed("v", "dst"), Seq("dst"))
-            .select("src", "dst", "w")
-            .localCheckpoint(true)
-        }
+        if (rho > bestDensity) { bestDensity = rho; best = degrees }
+        val keep = degrees.where(col("deg") > (1.0 + eps) * rho).select("v")
+        cur = cur
+          .join(keep.withColumnRenamed("v", "src"), Seq("src"))
+          .join(keep.withColumnRenamed("v", "dst"), Seq("dst"))
+          .select("src", "dst", "w")
+          .localCheckpoint(true)
       }
     }
     // a single isolated vertex has density 0, so on graphs where every
     // intermediate density is negative the trivial empty/singleton answer wins
     if (bestDensity <= 0.0) DistPeelResult(Array.empty, 0.0, rounds.toSeq)
-    else DistPeelResult(best, bestDensity, rounds.toSeq)
+    else DistPeelResult(best.select("v").collect().map(_.getLong(0)), bestDensity, rounds.toSeq)
   }
 }

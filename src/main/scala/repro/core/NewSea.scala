@@ -34,53 +34,46 @@ object NewSea {
   /** Runs NewSEA on `G_{D+}`. */
   def run(gDp: WGraph): MultiResult = {
     val mu = smartBounds(gDp)
-    val order = (0 until gDp.n).toArray.sortBy(u => -mu(u))
-    val st = new AffinityState(gDp)
-    var best = AffinityResult(Array.empty, 0.0)
-    var inits = 0
-    var errors = 0
-    var k = 0
-    var done = false
-    while (!done && k < order.length) {
-      val u = order(k)
-      if (mu(u) <= best.f) done = true
-      else {
-        st.initAt(u)
-        val trace = Seacd.run(st)
-        errors += trace.expansionErrors
-        val refined = Refinement.run(st)
-        inits += 1
-        if (refined.f > best.f) best = refined
-      }
-      k += 1
-    }
-    MultiResult(best, inits, errors)
+    seedLoop(gDp, (0 until gDp.n).toArray.sortBy(u => -mu(u)), mu, useReplicator = false)(_ => ())
   }
 
   /** SEACD+Refine or SEA+Refine with an initialization at *every* vertex
-    * (the paper's exhaustive baselines). Also returns the distinct positive
-    * cliques found, with subset-cliques removed — the raw material of
-    * Table V and Fig. 3.
+    * (the paper's exhaustive baselines): NewSEA's seed loop without the
+    * bound. Also returns the distinct positive cliques found, with
+    * subset-cliques removed — the raw material of Table V and Fig. 3.
     *
     * @param useReplicator  true for the original-SEA shrink (SEA+Refine)
     */
   def allInits(gDp: WGraph, useReplicator: Boolean): (MultiResult, Seq[AffinityResult]) = {
+    val cliques = mutable.LinkedHashMap.empty[Seq[Int], AffinityResult]
+    val noBound = Array.fill(gDp.n)(Double.PositiveInfinity)
+    val best = seedLoop(gDp, Array.range(0, gDp.n), noBound, useReplicator) { r =>
+      val key = r.supportSet.toSeq
+      if (key.nonEmpty && !cliques.contains(key)) cliques(key) = r
+    }
+    (best, dropSubsetCliques(cliques.values.toSeq))
+  }
+
+  /** Runs init, shrink/expand and Refinement from each seed of `order` and
+    * keeps the best refined result, stopping at the first seed `u` whose
+    * `bound(u)` cannot beat the incumbent. `found` sees every refined result.
+    */
+  private def seedLoop(gDp: WGraph, order: Array[Int], bound: Array[Double], useReplicator: Boolean)(
+      found: AffinityResult => Unit): MultiResult = {
     val st = new AffinityState(gDp)
     var best = AffinityResult(Array.empty, 0.0)
     var errors = 0
-    val cliques = mutable.LinkedHashMap.empty[Seq[Int], AffinityResult]
-    var u = 0
-    while (u < gDp.n) {
-      st.initAt(u)
+    var k = 0
+    while (k < order.length && bound(order(k)) > best.f) {
+      st.initAt(order(k))
       val trace = if (useReplicator) ReplicatorSea.run(st) else Seacd.run(st)
       errors += trace.expansionErrors
       val refined = Refinement.run(st)
+      found(refined)
       if (refined.f > best.f) best = refined
-      val key = refined.supportSet.toSeq
-      if (key.nonEmpty && !cliques.contains(key)) cliques(key) = refined
-      u += 1
+      k += 1
     }
-    (MultiResult(best, gDp.n, errors), dropSubsetCliques(cliques.values.toSeq))
+    MultiResult(best, k, errors)
   }
 
   /** Removes cliques whose support is a strict subset of another clique's

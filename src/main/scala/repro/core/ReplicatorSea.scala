@@ -72,6 +72,6 @@ object ReplicatorSea {
         } else if (fAfter <= fBefore + 1e-12) done = true // stalled
       }
     }
-    Seacd.Trace(st.result, outer, errors)
+    Seacd.Trace(outer, errors)
   }
 }

@@ -16,7 +16,7 @@ package repro.core
 object Seacd {
 
   /** Outcome bookkeeping for one run. */
-  final case class Trace(result: AffinityResult, seaIterations: Int, expansionErrors: Int)
+  final case class Trace(seaIterations: Int, expansionErrors: Int)
 
   /** Floor of the expansion-candidate tolerance, guarding the approximate KKT
     * reached by finite-precision descent.
@@ -43,6 +43,6 @@ object Seacd {
         allowed = st.support
       }
     }
-    Trace(st.result, outer, errors)
+    Trace(outer, errors)
   }
 }

@@ -66,10 +66,9 @@ object DiffGraph {
     diff.select(col("src"), col("dst"), (-col("w")) as "w")
 
   /** The paper's Discrete weight mapping for the DBLP experiment:
-    * `d >= 5 -> 2`, `2 <= d < 5 -> 1`, `-4 < d < 0 -> -1`, `d <= -4 -> -2`,
-    * everything else (`0 < d < 2` and `d == -4`... i.e. `-4 < d`) dropped.
-    * The mapping follows Section VI-B verbatim: gaps map to 0 and the edge is
-    * removed.
+    * `d >= 5 -> 2`, `2 <= d < 5 -> 1`, `-4 < d < 0 -> -1`, `d <= -4 -> -2`;
+    * only edges with `0 < d < 2` are dropped. The mapping follows Section
+    * VI-B verbatim: the gap maps to 0 and the edge is removed.
     */
   def discretize(diff: DataFrame): DataFrame =
     diff

@@ -1,18 +1,15 @@
 package repro
 
-import org.apache.spark.sql.DataFrame
 import repro.baseline.EgoScan
 import repro.core._
 import repro.data.SynthGraphs
 import repro.graph.{DiffGraph, WGraph}
+import repro.harness.Datasets.emerging
 
 /** End-to-end runs of every algorithm on small planted datasets, asserting the
   * paper's qualitative findings (Tables III-VI, VIII, IX) hold.
   */
 class IntegrationSpec extends SparkSpec {
-
-  private def emerging(ds: SynthGraphs.TwoGraphs): DataFrame =
-    DiffGraph.difference(ds.g1, ds.g2)
 
   private lazy val dblp = SynthGraphs.dblp(spark, n = 1500, bgPairs = 8000)
   private lazy val gD: WGraph = DiffGraph.toWGraph(emerging(dblp), dblp.n) // Weighted Emerging

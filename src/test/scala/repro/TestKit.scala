@@ -24,6 +24,39 @@ object TestKit {
     (best, bestRho)
   }
 
+  /** Local reference for `DistPeeling.densest`: the same batch peel on the
+    * CSR graph. Each round keeps the vertices that have an edge inside the
+    * current set, records `(|S|, W(S))`, and removes every vertex whose
+    * degree is at most `(1 + eps) * W(S)/|S|`; it stops when `S` is empty or
+    * a round removes nobody. Returns the rounds, the best set and its density,
+    * with `(empty, 0)` when no round has positive density.
+    */
+  def batchPeel(g: WGraph, eps: Double): (Seq[(Int, Double)], Set[Int], Double) = {
+    val rounds = scala.collection.mutable.ArrayBuffer.empty[(Int, Double)]
+    var alive = (0 until g.n).toSet
+    var best = Set.empty[Int]
+    var bestRho = Double.NegativeInfinity
+    var done = false
+    def degreeIn(set: Set[Int], u: Int): (Int, Double) = {
+      var c = 0; var w = 0.0
+      g.foreachNbr(u) { (v, wt) => if (set(v)) { c += 1; w += wt } }
+      (c, w)
+    }
+    while (!done) {
+      val s = alive.filter(u => degreeIn(alive, u)._1 > 0)
+      if (s.isEmpty || rounds.lastOption.exists(_._1 == s.size)) done = true
+      else {
+        val deg = s.iterator.map(u => u -> degreeIn(s, u)._2).toMap
+        val total = deg.values.sum
+        val rho = total / s.size
+        rounds += ((s.size, total))
+        if (rho > bestRho) { bestRho = rho; best = s }
+        alive = s.filter(u => deg(u) > (1.0 + eps) * rho)
+      }
+    }
+    if (bestRho <= 0.0) (rounds.toSeq, Set.empty, 0.0) else (rounds.toSeq, best, bestRho)
+  }
+
   /** Solves the dense linear system `A x = b` by Gaussian elimination with
     * partial pivoting; returns None if (near-)singular.
     */

@@ -64,4 +64,22 @@ class DistPeelingSpec extends SparkSpec {
     assert(math.abs(exact.density - dist.density) < 1.0,
       s"exact=${exact.density} dist=${dist.density}")
   }
+
+  test("every round matches a local batch peel on positive, signed and all-negative graphs") {
+    val graphs =
+      (1 to 4).map(seed => s"positive $seed" -> TestKit.randomPositive(40, 0.2, 2.0, seed)) ++
+        (1 to 4).map(seed => s"signed $seed" -> TestKit.randomSigned(40, 0.3, 2.0, seed)) :+
+        ("all-negative" -> repro.graph.WGraph(5, Seq((0, 1, -1.0), (2, 3, -2.0))))
+    val eps = 0.1
+    for ((name, g) <- graphs) {
+      val (rounds, best, density) = TestKit.batchPeel(g, eps)
+      val r = DistPeeling.densest(DiffGraph.toDF(spark, g), eps)
+      assert(r.rounds.map(_.size) == rounds.map(_._1.toLong), s"$name: round sizes")
+      r.rounds.zip(rounds).foreach { case (got, (_, w)) =>
+        assert(math.abs(got.totalWeight - w) < 1e-9, s"$name: W(S) ${got.totalWeight} vs $w")
+      }
+      assert(r.best.map(_.toInt).toSet == best, s"$name: best set")
+      assert(math.abs(r.density - density) < 1e-9, s"$name: density ${r.density} vs $density")
+    }
+  }
 }

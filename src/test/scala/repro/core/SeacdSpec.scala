@@ -11,8 +11,8 @@ class SeacdSpec extends AnyFunSuite {
     val st = new AffinityState(g)
     st.initAt(0)
     val t = Seacd.run(st)
-    assert(math.abs(t.result.f - 4.0 / 3.0) < 1e-4) // 2w/3
-    assert(t.result.supportSet.toSet == Set(0, 1, 2))
+    assert(math.abs(st.result.f - 4.0 / 3.0) < 1e-4) // 2w/3
+    assert(st.result.supportSet.toSet == Set(0, 1, 2))
     assert(t.expansionErrors == 0)
   }
 
@@ -58,9 +58,9 @@ class SeacdSpec extends AnyFunSuite {
     val g = WGraph(3, Seq((0, 1, 1.0)))
     val st = new AffinityState(g)
     st.initAt(2)
-    val t = Seacd.run(st)
-    assert(t.result.f == 0.0)
-    assert(t.result.supportSet.toSeq == Seq(2))
+    Seacd.run(st)
+    assert(st.result.f == 0.0)
+    assert(st.result.supportSet.toSeq == Seq(2))
   }
 
   test("on a signed graph SEACD works directly (replicator cannot)") {
@@ -68,8 +68,8 @@ class SeacdSpec extends AnyFunSuite {
       val g = TestKit.randomSigned(12, 0.5, 2.0, seed)
       val st = new AffinityState(g)
       st.initAt(seed % 12)
-      val t = Seacd.run(st)
-      assert(t.result.f >= -1e-12, s"seed=$seed f=${t.result.f}")
+      Seacd.run(st)
+      assert(st.result.f >= -1e-12, s"seed=$seed f=${st.result.f}")
       val x = st.support.map(u => u -> st.x(u)).toMap
       assert(TestKit.kktViolation(g, x) <= CoordinateDescent.epsFor(x.size) + 1e-9, s"seed=$seed")
     }

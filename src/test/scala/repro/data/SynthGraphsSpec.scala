@@ -1,14 +1,10 @@
 package repro.data
 
-import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.graph.DiffGraph
+import repro.harness.Datasets.emerging
 
 class SynthGraphsSpec extends SparkSpec {
-
-  // emerging-style difference graph: w2 - w1
-  private def emerging(ds: SynthGraphs.TwoGraphs): DataFrame =
-    DiffGraph.difference(ds.g1, ds.g2)
 
   private lazy val dblp = SynthGraphs.dblp(spark, n = 1200, bgPairs = 6000)
   private lazy val dm = SynthGraphs.dm(spark, n = 800, bgPairs = 8000)
