@@ -1,8 +1,7 @@
 package repro.baseline
 
+import repro.core.AffinityState
 import repro.graph.WGraph
-
-import scala.collection.mutable
 
 /** EgoScan-style baseline (Cadena, Chen & Vullikanti, ICDM 2016 — reference
   * [6] of the paper): maximize the *total* edge-weight difference `W_D(S)`
@@ -32,15 +31,13 @@ object EgoScan {
     * only adds seeds that converge to the same local optima).
     */
   def run(gD: WGraph): EgoScanResult = {
-    val posDeg = Array.tabulate(gD.n) { u =>
-      var s = 0.0
-      gD.foreachNbr(u) { (_, w) => if (w > 0) s += w }
-      s
-    }
+    val gDp = gD.positivePart
+    val posDeg = Array.tabulate(gD.n)(gDp.weightedDegree)
     val seeds = (0 until gD.n).filter(posDeg(_) > 0.0).sortBy(u => -posDeg(u)).take(MaxSeeds)
+    val st = new AffinityState(gD)
     var best = EgoScanResult(Array.empty, 0.0)
     for (seed <- seeds) {
-      val r = localSearch(gD, seed)
+      val r = localSearch(st, gDp, seed)
       if (r.totalWeight > best.totalWeight) best = r
     }
     best
@@ -49,7 +46,8 @@ object EgoScan {
   /** Hill-climbs `W_D(S)` from `{seed} + positive neighbors of seed`,
     * restricted — as in the original EgoScan — to the seed's (2-hop) ego net.
     */
-  private def localSearch(gD: WGraph, seed: Int): EgoScanResult = {
+  private def localSearch(st: AffinityState, gDp: WGraph, seed: Int): EgoScanResult = {
+    val gD = st.g
     // 2-hop ego net of the seed: the candidate universe for this scan
     val allowed = new Array[Boolean](gD.n)
     var egoSize = 0
@@ -59,43 +57,29 @@ object EgoScan {
     val oneHop = (0 until gD.n).filter(allowed)
     oneHop.foreach(u => gD.foreachNbr(u) { (v, _) => allow(v) })
 
-    val in = new Array[Boolean](gD.n)
-    // marginal(u) = sum of D(u,v) over v in S — the gain of adding u (or the
-    // loss of removing it); maintained incrementally
-    val marginal = new Array[Double](gD.n)
-    val touched = mutable.ArrayBuffer.empty[Int]
-    val touchedFlag = new Array[Boolean](gD.n)
+    // x is the 0/1 indicator of S, so dx(u) = sum of D(u,v) over v in S: the
+    // gain of adding u, or the loss of removing it
+    st.reset()
     var total = 0.0
-    var size = 0
-
-    def touch(u: Int): Unit = if (!touchedFlag(u)) { touchedFlag(u) = true; touched += u }
-
-    def add(u: Int): Unit = {
-      total += marginal(u)
-      in(u) = true; size += 1; touch(u)
-      gD.foreachNbr(u) { (v, w) => marginal(v) += w; touch(v) }
-    }
-    def remove(u: Int): Unit = {
-      total -= marginal(u)
-      in(u) = false; size -= 1
-      gD.foreachNbr(u) { (v, w) => marginal(v) -= w; touch(v) }
-    }
+    def add(u: Int): Unit = { total += st.dx(u); st.setX(u, 1.0) }
+    def remove(u: Int): Unit = { total -= st.dx(u); st.setX(u, 0.0) }
 
     add(seed)
-    gD.foreachNbr(seed) { (v, w) => if (w > 0 && !in(v)) add(v) }
+    gDp.foreachNbr(seed) { (v, _) => add(v) }
 
     var moves = 0
     var improved = true
     while (improved && moves < MaxMoves) {
       improved = false
-      // best add: candidate u not in S with marginal > 0;
-      // best remove: u in S with marginal < 0
+      // best add: candidate u not in S with dx > 0; best remove: u in S with dx < 0
       var bestU = -1; var bestGain = 1e-12; var bestIsAdd = true
+      val touched = st.touched
       var i = 0
       while (i < touched.length) {
         val u = touched(i)
-        if (!in(u) && allowed(u) && marginal(u) > bestGain) { bestU = u; bestGain = marginal(u); bestIsAdd = true }
-        if (in(u) && -marginal(u) > bestGain) { bestU = u; bestGain = -marginal(u); bestIsAdd = false }
+        val in = st.x(u) > 0.0
+        if (!in && allowed(u) && st.dx(u) > bestGain) { bestU = u; bestGain = st.dx(u); bestIsAdd = true }
+        if (in && -st.dx(u) > bestGain) { bestU = u; bestGain = -st.dx(u); bestIsAdd = false }
         i += 1
       }
       if (bestU >= 0) {
@@ -106,6 +90,6 @@ object EgoScan {
     }
     // report W_D(S) in the paper's both-orientations convention (2x the
     // internal undirected sum); the argmax is unaffected
-    EgoScanResult((0 until gD.n).filter(in).toArray, 2.0 * total)
+    EgoScanResult(st.support.sorted, 2.0 * total)
   }
 }

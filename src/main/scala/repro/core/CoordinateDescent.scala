@@ -52,13 +52,9 @@ object CoordinateDescent {
             val bCoef = d * c + bi - bj
             def gval(t: Double): Double = -d * t * t + bCoef * t
             val r = bCoef / (2.0 * d)
-            val cands = if (r >= 0.0 && r <= c) Array(0.0, r, c) else Array(0.0, c)
-            var best = cands(0); var bestV = gval(cands(0))
-            var q = 1
-            while (q < cands.length) {
-              if (gval(cands(q)) > bestV) { best = cands(q); bestV = gval(cands(q)) }
-              q += 1
-            }
+            var best = 0.0
+            if (r >= 0.0 && r <= c && gval(r) > gval(best)) best = r
+            if (gval(c) > gval(best)) best = c
             best
           }
         st.setX(i, newXi)

@@ -30,23 +30,6 @@ object Expansion {
     out.toArray
   }
 
-  /** The *original* SEA candidate rule: `Z = {i | (Dx)_i > f}` over ALL
-    * vertices, as written in the appendix. At a true local KKT point no
-    * support vertex qualifies, so this equals [[candidates]]; after a shrink
-    * that stopped short of a KKT point (the replicator with its loose
-    * `1e-6`-improvement condition) support vertices leak into `Z`, the step
-    * derivation's `S_x` / `Z` case split breaks, and the expansion can
-    * *decrease* the objective — exactly the error mode Table VII counts for
-    * SEA+Refine. Used only by [[ReplicatorSea]].
-    */
-  def candidatesOriginal(st: AffinityState, tol: Double): Array[Int] = {
-    val fbar = st.f
-    val out = mutable.ArrayBuffer.empty[Int]
-    for (v <- st.touched)
-      if (st.dx(v) > fbar + tol) out += v
-    out.toArray
-  }
-
   /** Performs one expansion step over `z`; returns the new objective value. */
   def expand(st: AffinityState, z: Array[Int]): Double = {
     if (z.isEmpty) return st.f

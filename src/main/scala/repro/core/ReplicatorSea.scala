@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable
+
 /** The original SEA algorithm of Liu et al. [18]: replicator-dynamics shrink
   * plus the same Expansion operation — the paper's "SEA+Refine" baseline.
   *
@@ -39,6 +41,23 @@ object ReplicatorSea {
     iter
   }
 
+  /** The *original* SEA candidate rule: `Z = {i | (Dx)_i > f}` over ALL
+    * vertices, as written in the appendix. At a true local KKT point no
+    * support vertex qualifies, so this equals [[Expansion.candidates]];
+    * after a shrink that stopped short of a KKT point (the replicator with
+    * its loose `1e-6`-improvement condition) support vertices leak into `Z`,
+    * the step derivation's `S_x` / `Z` case split breaks, and the expansion
+    * can *decrease* the objective — exactly the error mode Table VII counts
+    * for SEA+Refine.
+    */
+  private[core] def candidatesOriginal(st: AffinityState, tol: Double): Array[Int] = {
+    val fbar = st.f
+    val out = mutable.ArrayBuffer.empty[Int]
+    for (v <- st.touched)
+      if (st.dx(v) > fbar + tol) out += v
+    out.toArray
+  }
+
   /** Outer-iteration cap of [[run]]. It is small because a shrink stage that
     * failed to reach a local KKT point can make the shrink/expand loop cycle
     * (the very failure mode Table VII counts).
@@ -56,11 +75,11 @@ object ReplicatorSea {
       val fBefore = st.f
       // the original SEA's Z may contain support vertices when the loose
       // shrink stopped short of a local KKT point — the source of its
-      // expansion errors (see Expansion.candidatesOriginal). The 1e-5
-      // relative tolerance mirrors a practical Z threshold: a shrink that
-      // converged well leaves gradient spread below it (no error), a shrink
-      // on a slow-mixing dense region leaves a larger gap and errs.
-      val z = Expansion.candidatesOriginal(st, 1e-5 * math.max(1.0, math.abs(fBefore)))
+      // expansion errors (see candidatesOriginal). The 1e-5 relative
+      // tolerance mirrors a practical Z threshold: a shrink that converged
+      // well leaves gradient spread below it (no error), a shrink on a
+      // slow-mixing dense region leaves a larger gap and errs.
+      val z = candidatesOriginal(st, 1e-5 * math.max(1.0, math.abs(fBefore)))
       if (z.isEmpty) done = true
       else {
         val fAfter = Expansion.expand(st, z)

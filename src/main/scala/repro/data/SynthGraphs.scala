@@ -117,7 +117,7 @@ object SynthGraphs {
     * Compiler & Software System group (22), plus a diffuse positive community
     * that an `W_D(S)`-maximizer (EgoScan) should prefer.
     */
-  def dblp(spark: SparkSession, n: Int = 4500, bgPairs: Long = 26000, seed: Long = 42): TwoGraphs = {
+  def dblp(spark: SparkSession, n: Int, bgPairs: Long, seed: Long = 42): TwoGraphs = {
     // ids: 0-3 UTA | 4-10 CMU | 11-16 robotics core | 17 Morisawa | 18-19 Fukuda/Arai
     //      20-41 compiler | 42-161 positive community | rest background
     val uta = 0 to 3
@@ -196,7 +196,7 @@ object SynthGraphs {
     * come out in the paper's order (EXPERIMENTS.md discusses the one
     * inconsistency in the paper's own Table VI).
     */
-  def dm(spark: SparkSession, n: Int = 2400, bgPairs: Long = 60000, seed: Long = 7): TwoGraphs = {
+  def dm(spark: SparkSession, n: Int, bgPairs: Long, seed: Long = 7): TwoGraphs = {
     val rows = Seq(
       // (u, v, w1, w2) — w = 100 x co-occurrence rate in that period's titles
       (0, 1, 0.3, 2.288), // social networks          diff +1.988 (Table II max w)
@@ -243,7 +243,7 @@ object SynthGraphs {
     * conflicting 6-clique, a -12.46 extreme pair, and two large random
     * communities that dominate under average degree.
     */
-  def wiki(spark: SparkSession, n: Int = 10000, bgPairs: Long = 210000, seed: Long = 11): TwoGraphs = {
+  def wiki(spark: SparkSession, n: Int, bgPairs: Long, seed: Long = 11): TwoGraphs = {
     val cons5 = 0 to 4
     val conf6 = 5 to 10
     val extreme = Seq(11, 12)
@@ -277,7 +277,7 @@ object SynthGraphs {
     * are sized so the graph-affinity optimum matches the paper *exactly* via
     * Motzkin-Straus (`f = 1 - 1/k`): Movie 32/18, Book 14/22.
     */
-  def douban(spark: SparkSession, interest: String, n: Int = 5500, seed: Long = 23): TwoGraphs = {
+  def douban(spark: SparkSession, interest: String, n: Int, seed: Long = 23): TwoGraphs = {
     val movie = interest == "Movie"
     val (isCliqueK, siCliqueK) = if (movie) (32, 18) else (14, 22)
     val isClique = 0 until isCliqueK // interest clique
@@ -311,7 +311,7 @@ object SynthGraphs {
     * f = 200), a 26-clique of diff ~6 (the Discrete winner, f ~ 1.92), and a
     * -186 extreme pair.
     */
-  def dblpC(spark: SparkSession, n: Int = 60000, bgPairs: Long = 260000, seed: Long = 31): TwoGraphs = {
+  def dblpC(spark: SparkSession, n: Int, bgPairs: Long, seed: Long = 31): TwoGraphs = {
     val heavyPair = Seq(0, 1)
     val clique26 = 2 to 27
     val rows = mutable.ArrayBuffer.empty[(Int, Int, Double, Double)]
@@ -337,7 +337,7 @@ object SynthGraphs {
     * heavy triangle (216/150/120 — the Weighted winner, f ~ 108) and a
     * 21-clique of mid-weight edges (the winner once weights are capped at 10).
     */
-  def actor(spark: SparkSession, n: Int = 10000, bgPairs: Long = 430000, seed: Long = 57): TwoGraphs = {
+  def actor(spark: SparkSession, n: Int, bgPairs: Long, seed: Long = 57): TwoGraphs = {
     val tri = Seq(0, 1, 2)
     val clique21 = 3 to 23
     val triW = Array(216.0, 150.0, 120.0)

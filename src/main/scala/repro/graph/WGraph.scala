@@ -119,18 +119,17 @@ final class WGraph private (
   /** Connected components of the induced subgraph `G(S)`, as vertex lists. */
   def componentsOf(s: Iterable[Int]): Seq[Array[Int]] = {
     val vs = s.toArray
-    val in = toMask(vs)
-    val seen = new mutable.HashSet[Int]
+    val unseen = toMask(vs) // members of S not yet reached
     val out = mutable.ArrayBuffer.empty[Array[Int]]
-    for (root <- vs if !seen.contains(root)) {
+    for (root <- vs if unseen(root)) {
       val comp = mutable.ArrayBuffer.empty[Int]
       val stack = mutable.ArrayDeque(root)
-      seen += root
+      unseen(root) = false
       while (stack.nonEmpty) {
         val u = stack.removeLast()
         comp += u
         foreachNbr(u) { (v, _) =>
-          if (in(v) && !seen.contains(v)) { seen += v; stack.append(v) }
+          if (unseen(v)) { unseen(v) = false; stack.append(v) }
         }
       }
       out += comp.toArray
@@ -142,15 +141,18 @@ final class WGraph private (
     * built on first use and shared by every caller.
     */
   lazy val positivePart: WGraph = {
-    val us = mutable.ArrayBuffer.empty[Int]
-    val vs = mutable.ArrayBuffer.empty[Int]
-    val ws = mutable.ArrayBuffer.empty[Double]
+    // filtering the sorted segments in order keeps each one sorted
+    val pOffsets = new Array[Int](n + 1)
+    val pNbrs = new Array[Int](wts.count(_ > 0.0))
+    val pWts = new Array[Double](pNbrs.length)
+    var k = 0
     var u = 0
     while (u < n) {
-      foreachNbr(u) { (v, w) => if (v > u && w > 0.0) { us += u; vs += v; ws += w } }
+      foreachNbr(u) { (v, w) => if (w > 0.0) { pNbrs(k) = v; pWts(k) = w; k += 1 } }
       u += 1
+      pOffsets(u) = k
     }
-    WGraph.fromEdges(n, us.toArray, vs.toArray, ws.toArray)
+    new WGraph(n, pOffsets, pNbrs, pWts)
   }
 
   /** A new graph with every edge weight negated (Emerging <-> Disappearing). */

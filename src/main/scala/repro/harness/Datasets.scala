@@ -44,11 +44,7 @@ object Sizes {
 /** Builds the 16 difference-graph configurations of Table II. */
 object Datasets {
 
-  final case class Bundle(
-      diffSets: Seq[DiffSet],
-      dblp: SynthGraphs.TwoGraphs,
-      dm: SynthGraphs.TwoGraphs,
-  )
+  final case class Bundle(diffSets: Seq[DiffSet], dm: SynthGraphs.TwoGraphs)
 
   /** `G_D = A2 - A1` for a generated pair. */
   def emerging(ds: SynthGraphs.TwoGraphs): DataFrame = DiffGraph.difference(ds.g1, ds.g2)
@@ -92,6 +88,6 @@ object Datasets {
       set("Actor", "Weighted", "-", actor, actorDiff),
       set("Actor", "Discrete", "-", actor, DiffGraph.capWeights(actorDiff, 10.0)),
     )
-    Bundle(diffSets, dblp, dm)
+    Bundle(diffSets, dm)
   }
 }

@@ -19,7 +19,7 @@ class OriginalSeaErrorSpec extends AnyFunSuite {
     val st = new AffinityState(g)
     st.setX(0, 0.6); st.setX(1, 0.3); st.setX(2, 0.1)
     // f = 2*(0.6*0.3*2 + 0.3*0.1*1) = 0.78; (Dx)_0 = 0.6 ; (Dx)_1 = 1.3 > f
-    val orig = Expansion.candidatesOriginal(st, 1e-9).toSet
+    val orig = ReplicatorSea.candidatesOriginal(st, 1e-9).toSet
     val corrected = Expansion.candidates(st, 1e-9).toSet
     assert(orig.contains(1), "support vertex with high gradient leaks into the original Z")
     assert(!corrected.contains(1))
@@ -34,7 +34,7 @@ class OriginalSeaErrorSpec extends AnyFunSuite {
       Seacd.run(st) // local KKT up to the shrink precision eps = 1e-2/|S|
       // above that precision no support vertex can exceed f, so the rules agree
       val tol = CoordinateDescent.epsFor(st.supportSize)
-      assert(Expansion.candidatesOriginal(st, tol).toSet == Expansion.candidates(st, tol).toSet,
+      assert(ReplicatorSea.candidatesOriginal(st, tol).toSet == Expansion.candidates(st, tol).toSet,
         s"seed=$seed")
     }
   }

@@ -103,6 +103,21 @@ class WGraphSpec extends AnyFunSuite {
     assert(signed.positivePart eq p, "G_{D+} is built once per graph")
   }
 
+  test("positivePart is the CSR that fromEdges builds from the positive edges") {
+    val graphs = (1 to 20).map(seed => TestKit.randomSigned(12 + seed, 0.3, 3.0, seed)) ++
+      Seq(TestKit.randomPositive(10, 0.5, 2.0, 5).negated, WGraph(0, Seq.empty))
+    for (g <- graphs) {
+      val pos = for (u <- 0 until g.n; k <- g.offsets(u) until g.offsets(u + 1)
+                     if g.nbrs(k) > u && g.wts(k) > 0.0) yield (u, g.nbrs(k), g.wts(k))
+      val (p, ref) = (g.positivePart, WGraph(g.n, pos))
+      assert(p.n == ref.n)
+      assert(p.offsets.sameElements(ref.offsets), s"n=${g.n}")
+      assert(p.nbrs.sameElements(ref.nbrs), s"n=${g.n}")
+      assert(p.wts.sameElements(ref.wts), s"n=${g.n}")
+    }
+    assert(graphs.exists(_.positivePart.numEdges > 0) && graphs.exists(_.positivePart.numEdges == 0))
+  }
+
   test("negated flips every weight") {
     val neg = signed.negated
     assert(neg.weight(1, 2) == 1.0)
