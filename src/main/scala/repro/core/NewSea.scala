@@ -2,7 +2,11 @@ package repro.core
 
 import repro.graph.WGraph
 
+import java.util.concurrent.CountDownLatch
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong, AtomicReference}
+
 import scala.collection.mutable
+import scala.concurrent.{ExecutionContext, blocking}
 
 /** NewSEA (Algorithm 5): SEACD + Refinement driven by the smart
   * initialization heuristic of Section V-D.
@@ -57,23 +61,72 @@ object NewSea {
   /** Runs init, shrink/expand and Refinement from each seed of `order` and
     * keeps the best refined result, stopping at the first seed `u` whose
     * `bound(u)` cannot beat the incumbent. `found` sees every refined result.
+    *
+    * The seeds run on every core: each worker owns one [[AffinityState]] and
+    * takes seed indices in order through [[claim]], which checks the bound
+    * against a shared incumbent read *before* the index is taken. Every seed
+    * that had raised the incumbent by then was claimed earlier, so no worker
+    * stops past the point where the sequential loop stops, and every seed
+    * before that point has run. After the join the results are replayed in
+    * seed order with the sequential stopping rule, so `best` (its support
+    * too), `initsUsed`, `errors` and the calls to `found` are exactly those
+    * of a single-threaded loop; results past the stop point are dropped. This
+    * is exact because `reset` returns a state to all zeros, so a seed's
+    * result does not depend on which seeds its state ran before.
     */
-  private def seedLoop(gDp: WGraph, order: Array[Int], bound: Array[Double], useReplicator: Boolean)(
+  private[core] def seedLoop(gDp: WGraph, order: Array[Int], bound: Array[Double], useReplicator: Boolean)(
       found: AffinityResult => Unit): MultiResult = {
-    val st = new AffinityState(gDp)
+    val m = order.length
+    val results = new Array[AffinityResult](m)
+    val errs = new Array[Int](m)
+    val next = new AtomicInteger(0)
+    val take = () => next.getAndIncrement()
+    // refined affinities are never negative, so their bit patterns order as the values do
+    val incumbent = new AtomicLong(java.lang.Double.doubleToLongBits(0.0))
+    val failure = new AtomicReference[Throwable]
+
+    // a failing worker stops the others; the caller rethrows its error after the join
+    def worker(): Unit = try {
+      var st: AffinityState = null
+      var k = claim(take, incumbent, order, bound)
+      while (k >= 0) {
+        if (st == null) st = new AffinityState(gDp)
+        st.initAt(order(k))
+        val trace = if (useReplicator) ReplicatorSea.run(st) else Seacd.run(st)
+        errs(k) = trace.expansionErrors
+        results(k) = Refinement.run(st)
+        incumbent.accumulateAndGet(java.lang.Double.doubleToLongBits(results(k).f), (a, b) => math.max(a, b))
+        k = claim(take, incumbent, order, bound)
+      }
+    } catch { case e: Throwable => next.set(m); failure.compareAndSet(null, e) }
+
+    val helpers = new CountDownLatch(math.max(0, math.min(Runtime.getRuntime.availableProcessors, m) - 1))
+    for (_ <- 0L until helpers.getCount)
+      ExecutionContext.global.execute(() => try worker() finally helpers.countDown())
+    worker()
+    blocking(helpers.await())
+    if (failure.get != null) throw failure.get
+
     var best = AffinityResult(Array.empty, 0.0)
     var errors = 0
     var k = 0
-    while (k < order.length && bound(order(k)) > best.f) {
-      st.initAt(order(k))
-      val trace = if (useReplicator) ReplicatorSea.run(st) else Seacd.run(st)
-      errors += trace.expansionErrors
-      val refined = Refinement.run(st)
-      found(refined)
-      if (refined.f > best.f) best = refined
+    while (k < m && bound(order(k)) > best.f) {
+      found(results(k))
+      errors += errs(k)
+      if (results(k).f > best.f) best = results(k)
       k += 1
     }
     MultiResult(best, k, errors)
+  }
+
+  /** A seed-loop worker's next index into `order`, or -1 when it stops. It
+    * reads the incumbent *before* it takes an index with `take`, and stops
+    * once the seeds run out or the taken seed's bound cannot beat that read.
+    */
+  private[core] def claim(take: () => Int, incumbent: AtomicLong, order: Array[Int], bound: Array[Double]): Int = {
+    val inc = java.lang.Double.longBitsToDouble(incumbent.get)
+    val k = take()
+    if (k < order.length && bound(order(k)) > inc) k else -1
   }
 
   /** Removes cliques whose support is a strict subset of another clique's

@@ -1,5 +1,6 @@
 package repro
 
+import repro.core._
 import repro.graph.WGraph
 
 import scala.util.Random
@@ -160,5 +161,27 @@ object TestKit {
     val maxFree = (0 until g.n).filter(u => x.getOrElse(u, 0.0) < 1.0).map(dx).maxOption.getOrElse(0.0)
     val minSup = x.collect { case (u, xu) if xu > 0 => dx(u) }.minOption.getOrElse(0.0)
     math.max(0.0, 2.0 * (maxFree - minSup))
+  }
+
+  /** Reference for `NewSea`'s seed loop: the single-threaded loop on one
+    * reused `AffinityState`, stopping at the first seed whose bound cannot
+    * beat the incumbent. `found` sees every refined result, in seed order.
+    */
+  def sequentialSeedLoop(gDp: WGraph, order: Array[Int], bound: Array[Double], useReplicator: Boolean)(
+      found: AffinityResult => Unit): NewSea.MultiResult = {
+    val st = new AffinityState(gDp)
+    var best = AffinityResult(Array.empty, 0.0)
+    var errors = 0
+    var k = 0
+    while (k < order.length && bound(order(k)) > best.f) {
+      st.initAt(order(k))
+      val trace = if (useReplicator) ReplicatorSea.run(st) else Seacd.run(st)
+      errors += trace.expansionErrors
+      val refined = Refinement.run(st)
+      found(refined)
+      if (refined.f > best.f) best = refined
+      k += 1
+    }
+    NewSea.MultiResult(best, k, errors)
   }
 }

@@ -4,6 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestKit
 import repro.graph.WGraph
 
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+
 class NewSeaSpec extends AnyFunSuite {
 
   test("mu_u is a valid upper bound for cliques through u (Thm 6)") {
@@ -89,5 +91,107 @@ class NewSeaSpec extends AnyFunSuite {
     assert(sets.contains(Set(6, 7)))
     // sorted by descending affinity
     assert(cliques.map(-_.f) == cliques.map(-_.f).sorted)
+  }
+
+  /** `NewSea.run` and `allInits` rebuilt on the sequential reference loop. */
+  private def sequentialRun(g: WGraph): NewSea.MultiResult = {
+    val mu = NewSea.smartBounds(g)
+    TestKit.sequentialSeedLoop(g, (0 until g.n).toArray.sortBy(u => -mu(u)), mu, useReplicator = false)(_ => ())
+  }
+
+  private def sequentialAllInits(g: WGraph, useReplicator: Boolean): (NewSea.MultiResult, Seq[AffinityResult]) = {
+    val cliques = scala.collection.mutable.LinkedHashMap.empty[Seq[Int], AffinityResult]
+    val noBound = Array.fill(g.n)(Double.PositiveInfinity)
+    val best = TestKit.sequentialSeedLoop(g, Array.range(0, g.n), noBound, useReplicator) { r =>
+      val key = r.supportSet.toSeq
+      if (key.nonEmpty && !cliques.contains(key)) cliques(key) = r
+    }
+    (best, NewSea.dropSubsetCliques(cliques.values.toSeq))
+  }
+
+  private def sameResult(a: AffinityResult, b: AffinityResult): Boolean =
+    a.embedding.sameElements(b.embedding) && a.f == b.f
+
+  private def assertSame(got: NewSea.MultiResult, want: NewSea.MultiResult, what: String): Unit = {
+    assert(sameResult(got.best, want.best), s"$what: best ${got.best} vs ${want.best}")
+    assert(got.initsUsed == want.initsUsed, s"$what: initsUsed ${got.initsUsed} vs ${want.initsUsed}")
+    assert(got.errors == want.errors, s"$what: errors ${got.errors} vs ${want.errors}")
+  }
+
+  /** Positive part of a dense graph with +-1 weights and planted +1 cliques:
+    * `mu_u = tau_u/(tau_u+1)` rarely prunes there, so most seeds run and
+    * many cliques tie in `f`.
+    */
+  private def plantedPlusMinusOne(n: Int, seed: Long): WGraph = {
+    val rnd = new scala.util.Random(seed)
+    val w = scala.collection.mutable.Map.empty[(Int, Int), Double]
+    for (i <- 0 until n; j <- (i + 1) until n if rnd.nextDouble() < 0.5) w((i, j)) = if (rnd.nextBoolean()) 1.0 else -1.0
+    for (_ <- 1 to 3) {
+      val c = rnd.shuffle((0 until n).toList).take(5 + rnd.nextInt(3)).sorted
+      for (a <- c; b <- c if a < b) w((a, b)) = 1.0
+    }
+    WGraph(n, w.toSeq.map { case ((i, j), x) => (i, j, x) }).positivePart
+  }
+
+  /** Unit-weight `K_{4,4}` followed by 40 disjoint triangles. A triangle's
+    * refined `f` reaches its bound `mu = 2/3` in floating point, so any
+    * triangle seed can stop the loop at the first one: the only case where
+    * a later seed's result could wrongly stop an earlier seed.
+    */
+  private val bipartiteThenTriangles: WGraph = {
+    val bip = for (i <- 0 until 4; j <- 4 until 8) yield (i, j, 1.0)
+    val tris = for (c <- 0 until 40; a <- 0 until 3; b <- (a + 1) until 3) yield (8 + 3 * c + a, 8 + 3 * c + b, 1.0)
+    WGraph(8 + 3 * 40, bip ++ tris)
+  }
+
+  test("the parallel seed loop gives exactly the sequential loop's results") {
+    val graphs = (1 to 4).map(s => s"positive $s" -> TestKit.randomPositive(40, 0.3, 2.0, s)) ++
+      (1 to 4).map(s => s"planted +-1 $s" -> plantedPlusMinusOne(60, s)) ++
+      Seq("K44 then triangles" -> bipartiteThenTriangles,
+        "disjoint edges" -> WGraph(100, (0 until 50).map(i => (2 * i, 2 * i + 1, 1.0))))
+    for ((name, g) <- graphs) {
+      val run = sequentialRun(g)
+      val all = Seq(false, true).map(r => r -> sequentialAllInits(g, r))
+      for (rep <- 1 to 10) {
+        assertSame(NewSea.run(g), run, s"$name run #$rep")
+        for ((useReplicator, (wantBest, wantCliques)) <- all) {
+          val what = s"$name allInits($useReplicator) #$rep"
+          val (best, cliques) = NewSea.allInits(g, useReplicator)
+          assertSame(best, wantBest, what)
+          assert(cliques.length == wantCliques.length, s"$what: ${cliques.length} vs ${wantCliques.length} cliques")
+          assert(cliques.zip(wantCliques).forall { case (a, b) => sameResult(a, b) }, s"$what: clique list differs")
+        }
+      }
+    }
+  }
+
+  test("a worker reads the incumbent before it claims a seed") {
+    val g = bipartiteThenTriangles
+    val mu = NewSea.smartBounds(g)
+    val order = (0 until g.n).toArray.sortBy(u => -mu(u))
+    // the eight K44 seeds have run: the incumbent is 1/2, the next seed is the first triangle
+    val incumbent = new AtomicLong(java.lang.Double.doubleToLongBits(0.5))
+    val other = new AffinityState(g)
+    // right after this worker takes seed 8, another worker takes seed 9, runs
+    // it and raises the incumbent to seed 8's bound or above
+    val next = new AtomicInteger(8)
+    val take = () => {
+      val k = next.getAndIncrement()
+      val later = next.getAndIncrement()
+      other.initAt(order(later))
+      Seacd.run(other)
+      incumbent.set(java.lang.Double.doubleToLongBits(Refinement.run(other).f))
+      k
+    }
+    assert(NewSea.claim(take, incumbent, order, mu) == 8)
+    assert(java.lang.Double.longBitsToDouble(incumbent.get) >= mu(order(8)), "the other worker's f reaches seed 8's bound")
+  }
+
+  test("an error in a seed-loop worker reaches the caller") {
+    val g = TestKit.randomPositive(40, 0.3, 2.0, 1)
+    val badSeeds = Array.fill(64)(g.n)
+    intercept[IndexOutOfBoundsException] {
+      NewSea.seedLoop(g, badSeeds, Array.fill(g.n + 1)(Double.PositiveInfinity), useReplicator = false)(_ => ())
+    }
   }
 }

@@ -76,4 +76,22 @@ object AffinityProps extends Properties("DCSGA") {
       Seacd.run(st)
       Expansion.candidates(st, math.max(1e-9, st.f * 1e-9)).isEmpty
     }
+
+  property("a seed's result does not depend on the state's history") =
+    Prop.forAll(genPositive, Gen.choose(0L, 9999L), Gen.oneOf(false, true)) { (g, s, useReplicator) =>
+      def fromSeed(st: AffinityState, u: Int): AffinityResult = {
+        st.initAt(u)
+        if (useReplicator) ReplicatorSea.run(st) else Seacd.run(st)
+        Refinement.run(st)
+      }
+      val reused = new AffinityState(g)
+      val sameAsFresh = new scala.util.Random(s).shuffle((0 until g.n).toList).forall { u =>
+        val a = fromSeed(reused, u)
+        val b = fromSeed(new AffinityState(g), u)
+        a.embedding.sameElements(b.embedding) && a.f == b.f
+      }
+      reused.reset()
+      sameAsFresh && reused.supportSize == 0 && reused.support.isEmpty &&
+        (0 until g.n).forall(u => reused.x(u) == 0.0 && reused.dx(u) == 0.0)
+    }
 }
