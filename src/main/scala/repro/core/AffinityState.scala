@@ -2,8 +2,6 @@ package repro.core
 
 import repro.graph.WGraph
 
-import scala.collection.mutable
-
 /** A sparse point on the simplex together with incrementally-maintained
   * products `(Dx)_u`, reusable across many initializations.
   *
@@ -22,22 +20,28 @@ final class AffinityState(val g: WGraph) {
   /** `(Dx)_u` for every vertex; gradient is `2 * dx(u)`. */
   val dx = new Array[Double](g.n)
 
-  private val touchedList = mutable.ArrayBuffer.empty[Int]
+  /** [[Expansion]]'s `gamma_v`, by vertex; zero between its calls. */
+  private[core] val gamma = new Array[Double](g.n)
+
+  // the touched and support lists, in insertion order, so every sum over them has one order
+  private val touchedList = new Array[Int](g.n)
+  private var touchedCount = 0
   private val touchedFlag = new Array[Boolean](g.n)
 
-  private val supportList = mutable.ArrayBuffer.empty[Int]
+  private val supportList = new Array[Int](g.n)
+  private var supportCount = 0
   private val inSupport = new Array[Boolean](g.n)
 
   @inline private def touch(u: Int): Unit =
-    if (!touchedFlag(u)) { touchedFlag(u) = true; touchedList += u }
+    if (!touchedFlag(u)) { touchedFlag(u) = true; touchedList(touchedCount) = u; touchedCount += 1 }
 
   /** Current support `S_x = {u | x_u > 0}` (copy, unsorted). */
-  def support: Array[Int] = supportList.toArray
+  def support: Array[Int] = java.util.Arrays.copyOf(supportList, supportCount)
 
-  def supportSize: Int = supportList.length
+  def supportSize: Int = supportCount
 
   /** All vertices with a nonzero `x` or `dx` since the last reset. */
-  def touched: Array[Int] = touchedList.toArray
+  def touched: Array[Int] = java.util.Arrays.copyOf(touchedList, touchedCount)
 
   /** Sets `x_u = value`, updating `(Dx)_v` of all neighbors incrementally. */
   def setX(u: Int, value: Double): Unit = {
@@ -45,11 +49,13 @@ final class AffinityState(val g: WGraph) {
     if (delta == 0.0) return
     x(u) = value
     touch(u)
-    if (value > 0.0 && !inSupport(u)) { inSupport(u) = true; supportList += u }
+    if (value > 0.0 && !inSupport(u)) { inSupport(u) = true; supportList(supportCount) = u; supportCount += 1 }
     if (value == 0.0 && inSupport(u)) {
       inSupport(u) = false
-      val idx = supportList.indexOf(u)
-      supportList.remove(idx)
+      var idx = 0
+      while (supportList(idx) != u) idx += 1
+      System.arraycopy(supportList, idx + 1, supportList, idx, supportCount - idx - 1)
+      supportCount -= 1
     }
     g.foreachNbr(u) { (v, w) => dx(v) += w * delta; touch(v) }
   }
@@ -58,7 +64,7 @@ final class AffinityState(val g: WGraph) {
   def f: Double = {
     var s = 0.0
     var i = 0
-    while (i < supportList.length) { val u = supportList(i); s += x(u) * dx(u); i += 1 }
+    while (i < supportCount) { val u = supportList(i); s += x(u) * dx(u); i += 1 }
     s
   }
 
@@ -66,7 +72,7 @@ final class AffinityState(val g: WGraph) {
   def mass: Double = {
     var s = 0.0
     var i = 0
-    while (i < supportList.length) { s += x(supportList(i)); i += 1 }
+    while (i < supportCount) { s += x(supportList(i)); i += 1 }
     s
   }
 
@@ -82,13 +88,13 @@ final class AffinityState(val g: WGraph) {
   /** Zeroes every touched entry, returning the state to `x = 0`. */
   def reset(): Unit = {
     var i = 0
-    while (i < touchedList.length) {
+    while (i < touchedCount) {
       val u = touchedList(i)
       x(u) = 0.0; dx(u) = 0.0; touchedFlag(u) = false; inSupport(u) = false
       i += 1
     }
-    touchedList.clear()
-    supportList.clear()
+    touchedCount = 0
+    supportCount = 0
   }
 
   /** Starts from the unit vector `e_u`. */

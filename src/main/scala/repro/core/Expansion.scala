@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** The SEA Expansion operation (Appendix A of the paper, originally from
   * Liu et al., TPAMI 2013).
   *
@@ -24,34 +22,30 @@ object Expansion {
     */
   def candidates(st: AffinityState, tol: Double): Array[Int] = {
     val fbar = st.f
-    val out = mutable.ArrayBuffer.empty[Int]
-    for (v <- st.touched)
-      if (st.x(v) == 0.0 && st.dx(v) > fbar + tol) out += v
-    out.toArray
+    // an IntStream, because ArrayOps.filter boxes every vertex it tests
+    java.util.Arrays.stream(st.touched).filter(v => st.x(v) == 0.0 && st.dx(v) > fbar + tol).toArray
   }
 
-  /** Performs one expansion step over `z`; returns the new objective value. */
+  /** Performs one expansion step over `z`, distinct vertices with `(Dx)_v > f`
+    * as both candidate rules give; returns the new objective value.
+    */
   def expand(st: AffinityState, z: Array[Int]): Double = {
     if (z.isEmpty) return st.f
     val fbar = st.f
-    val gamma = new Array[Double](z.length)
-    val inZ = new mutable.HashMap[Int, Int] // vertex -> index in z
+    val gamma = st.gamma // zero on entry; nonzero exactly on Z, where (Dx)_v > fbar
     var s = 0.0; var zeta = 0.0
     var k = 0
     while (k < z.length) {
       val v = z(k)
-      gamma(k) = st.dx(v) - fbar
-      s += gamma(k); zeta += gamma(k) * gamma(k)
-      inZ(v) = k
+      gamma(v) = st.dx(v) - fbar
+      s += gamma(v); zeta += gamma(v) * gamma(v)
       k += 1
     }
     var omega = 0.0 // sum over ordered pairs (i, j) in Z^2 of gamma_i gamma_j D(i,j)
     k = 0
     while (k < z.length) {
       val v = z(k)
-      st.g.foreachNbr(v) { (u, w) =>
-        inZ.get(u).foreach(ku => omega += gamma(k) * gamma(ku) * w)
-      }
+      st.g.foreachNbr(v) { (u, w) => if (gamma(u) != 0.0) omega += gamma(v) * gamma(u) * w }
       k += 1
     }
     val a = fbar * s * s + 2.0 * s * zeta - omega
@@ -60,7 +54,7 @@ object Expansion {
     val oldSup = st.support
     oldSup.foreach(u => st.setX(u, st.x(u) * (1.0 - tau * s)))
     k = 0
-    while (k < z.length) { st.setX(z(k), tau * gamma(k)); k += 1 }
+    while (k < z.length) { val v = z(k); st.setX(v, tau * gamma(v)); gamma(v) = 0.0; k += 1 }
     st.renormalize()
     st.f
   }

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** The original SEA algorithm of Liu et al. [18]: replicator-dynamics shrink
   * plus the same Expansion operation — the paper's "SEA+Refine" baseline.
   *
@@ -52,10 +50,7 @@ object ReplicatorSea {
     */
   private[core] def candidatesOriginal(st: AffinityState, tol: Double): Array[Int] = {
     val fbar = st.f
-    val out = mutable.ArrayBuffer.empty[Int]
-    for (v <- st.touched)
-      if (st.dx(v) > fbar + tol) out += v
-    out.toArray
+    java.util.Arrays.stream(st.touched).filter(v => st.dx(v) > fbar + tol).toArray
   }
 
   /** Outer-iteration cap of [[run]]. It is small because a shrink stage that

@@ -240,7 +240,8 @@ object WGraph {
   /** Builds a graph from one record per undirected edge.
     *
     * Requires `0 <= us(i), vs(i) < n` and `us(i) != vs(i)`; duplicate pairs
-    * (in either orientation) are rejected. Zero-weight edges are dropped.
+    * (in either orientation) are rejected, as are NaN and infinite weights.
+    * Zero-weight edges are dropped.
     */
   def fromEdges(n: Int, us: Array[Int], vs: Array[Int], ws: Array[Double]): WGraph = {
     require(us.length == vs.length && vs.length == ws.length, "parallel edge arrays")
@@ -248,6 +249,7 @@ object WGraph {
     val deg = new Array[Int](n)
     keep.foreach { i =>
       require(us(i) != vs(i), s"self loop at ${us(i)}")
+      require(ws(i).isFinite, s"weight ${ws(i)} of (${us(i)}, ${vs(i)}) is not finite")
       deg(us(i)) += 1; deg(vs(i)) += 1
     }
     val offsets = new Array[Int](n + 1)

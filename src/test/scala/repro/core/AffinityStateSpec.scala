@@ -32,7 +32,7 @@ class AffinityStateSpec extends AnyFunSuite {
   }
 
   test("support tracks positive coordinates through zeroing") {
-    val g = WGraph(3, Seq((0, 1, 1.0)))
+    val g = WGraph(4, Seq((0, 1, 1.0)))
     val st = new AffinityState(g)
     st.setX(0, 0.7); st.setX(2, 0.3)
     assert(st.support.toSet == Set(0, 2))
@@ -40,6 +40,13 @@ class AffinityStateSpec extends AnyFunSuite {
     assert(st.support.toSet == Set(0))
     st.setX(1, 0.3)
     assert(st.support.toSet == Set(0, 1))
+    // both lists keep insertion order, and a removal from the middle of the
+    // support shifts the rest left: every sum over them runs in one order
+    st.setX(3, 0.1); st.setX(2, 0.2)
+    assert(st.support.toSeq == Seq(0, 1, 3, 2))
+    st.setX(1, 0.0)
+    assert(st.support.toSeq == Seq(0, 3, 2))
+    assert(st.touched.toSeq == Seq(0, 1, 2, 3))
   }
 
   test("reset restores a pristine state (reusable across inits)") {

@@ -144,6 +144,13 @@ class DiffGraphSpec extends SparkSpec {
     }
   }
 
+  test("toWGraph rejects a NaN weight, naming the pair") {
+    val e = intercept[IllegalArgumentException] {
+      DiffGraph.toWGraph(df(Seq((1L, 2L, 1.0), (3L, 4L, Double.NaN))), 8)
+    }
+    assert(e.getMessage.contains("weight NaN of (3, 4) is not finite"), e.getMessage)
+  }
+
   test("degree aggregation agrees with DuckDB (oracle)") {
     val diff = DiffGraph.difference(g1, g2)
     val degrees = diff

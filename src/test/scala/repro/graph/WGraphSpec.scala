@@ -30,6 +30,13 @@ class WGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("NaN and infinite weights are rejected, naming the pair") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException] { WGraph(4, Seq((0, 1, 1.0), (2, 3, bad))) }
+      assert(e.getMessage.contains(s"weight $bad of (2, 3) is not finite"), e.getMessage)
+    }
+  }
+
   test("weight is symmetric and 0 for absent edges") {
     assert(triangle.weight(0, 1) == 1.0)
     assert(triangle.weight(1, 0) == 1.0)

@@ -77,6 +77,22 @@ object AffinityProps extends Properties("DCSGA") {
       Expansion.candidates(st, math.max(1e-9, st.f * 1e-9)).isEmpty
     }
 
+  property("the incremental Dx and support match a recompute after every seed") =
+    Prop.forAll(genPositive, Gen.choose(0L, 9999L), Gen.oneOf(false, true)) { (g, s, useReplicator) =>
+      val st = new AffinityState(g)
+      val rnd = new scala.util.Random(s)
+      Seq.fill(2 * g.n)(rnd.nextInt(g.n)).forall { u =>
+        st.initAt(u)
+        if (useReplicator) ReplicatorSea.run(st) else Seacd.run(st)
+        Refinement.run(st)
+        (0 until g.n).forall { v =>
+          var dx = 0.0
+          g.foreachNbr(v)((t, w) => dx += w * st.x(t))
+          math.abs(st.dx(v) - dx) < 1e-9
+        } && st.support.toSet == (0 until g.n).filter(st.x(_) > 0.0).toSet
+      }
+    }
+
   property("a seed's result does not depend on the state's history") =
     Prop.forAll(genPositive, Gen.choose(0L, 9999L), Gen.oneOf(false, true)) { (g, s, useReplicator) =>
       def fromSeed(st: AffinityState, u: Int): AffinityResult = {
