@@ -47,7 +47,13 @@ final class WGraph private (
     * `rho = k - 1`, as used in the proof of Thm 1). All `W`/`rho` values in
     * this codebase follow that convention.
     */
-  lazy val totalWeight: Double = wts.sum
+  lazy val totalWeight: Double = {
+    // a loop, because ArrayOps.sum boxes every weight; same left-to-right order
+    var s = 0.0
+    var i = 0
+    while (i < wts.length) { s += wts(i); i += 1 }
+    s
+  }
 
   /** Applies `f(neighbor, weight)` to every neighbor of `u`. */
   @inline def foreachNbr(u: Int)(f: (Int, Double) => Unit): Unit = {

@@ -3,6 +3,7 @@ package repro
 import repro.core._
 import repro.graph.WGraph
 
+import scala.collection.mutable
 import scala.util.Random
 
 /** Shared test helpers: small-graph constructors and brute-force oracles for
@@ -56,6 +57,61 @@ object TestKit {
       }
     }
     if (bestRho <= 0.0) (rounds.toSeq, Set.empty, 0.0) else (rounds.toSeq, best, bestRho)
+  }
+
+  /** Reference for `Peeling.greedy`: the same peel on a boxed
+    * `mutable.PriorityQueue[(Double, Int)]` ordered by key, reversed, which is
+    * what the primitive `PeelHeap` must reproduce pop for pop.
+    */
+  def priorityQueuePeel(g: WGraph): PeelResult = {
+    val n = g.n
+    if (n == 0) return PeelResult(Array.empty, 0.0)
+    val deg = Array.tabulate(n)(g.weightedDegree)
+    val removed = new Array[Boolean](n)
+    val heap = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by[(Double, Int), Double](_._1).reverse)
+    var u = 0
+    while (u < n) { heap.enqueue((deg(u), u)); u += 1 }
+
+    var totalW = g.totalWeight
+    var size = n
+    var bestDensity = totalW / size
+    var bestSize = size
+    val order = new Array[Int](n)
+    var step = 0
+    while (size > 1) {
+      var v = -1
+      while (v == -1) {
+        val (d, cand) = heap.dequeue()
+        if (!removed(cand) && d == deg(cand)) v = cand
+      }
+      removed(v) = true
+      totalW -= 2.0 * deg(v)
+      size -= 1
+      g.foreachNbr(v) { (w, wt) =>
+        if (!removed(w)) { deg(w) -= wt; heap.enqueue((deg(w), w)) }
+      }
+      order(step) = v
+      step += 1
+      val rho = totalW / size
+      if (rho > bestDensity) { bestDensity = rho; bestSize = size }
+    }
+    val gone = new Array[Boolean](n)
+    var i = 0
+    while (i < n - bestSize) { gone(order(i)) = true; i += 1 }
+    PeelResult((0 until n).filter(!gone(_)).toArray, bestDensity)
+  }
+
+  /** Random graph with weights +1/-1 (each pair present w.p. `p`, positive
+    * w.p. `pPos`), where equal degrees are the norm.
+    */
+  def randomDiscrete(n: Int, p: Double, pPos: Double, seed: Long): WGraph = {
+    val rnd = new Random(seed)
+    val edges = for {
+      i <- 0 until n
+      j <- (i + 1) until n
+      if rnd.nextDouble() < p
+    } yield (i, j, if (rnd.nextDouble() < pPos) 1.0 else -1.0)
+    WGraph(n, edges)
   }
 
   /** Solves the dense linear system `A x = b` by Gaussian elimination with

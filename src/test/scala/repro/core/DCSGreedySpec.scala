@@ -2,7 +2,10 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestKit
+import repro.core.DCSGreedy.{MaxEdge, PeelGD, PeelGDPlus, SingleVertex}
 import repro.graph.WGraph
+
+import scala.collection.mutable
 
 class DCSGreedySpec extends AnyFunSuite {
 
@@ -12,6 +15,7 @@ class DCSGreedySpec extends AnyFunSuite {
     assert(r.s.length == 1)
     assert(r.density == 0.0)
     assert(r.ratio == 1.0)
+    assert(r.winner == SingleVertex && !r.split)
   }
 
   test("single positive edge graph") {
@@ -59,6 +63,7 @@ class DCSGreedySpec extends AnyFunSuite {
     val r = DCSGreedy.run(g)
     assert(r.s.toSet == Set(8, 9))
     assert(r.density == 100.0)
+    assert(r.winner == MaxEdge && !r.split)
   }
 
   test("planted contrast clique is recovered exactly") {
@@ -81,5 +86,33 @@ class DCSGreedySpec extends AnyFunSuite {
     val r = DCSGreedy.run(g)
     assert(g.componentsOf(r.s.toSeq).size == 1)
     assert(r.s.toSet == Set(2, 3, 4)) // triangle rho = 12 beats edge rho = 6
+  }
+
+  test("two equally dense components: the peel keeps both and the split picks the first") {
+    val g = WGraph(6, Seq((0, 1, 2.0), (1, 2, 2.0), (0, 2, 2.0), (3, 4, 2.0), (4, 5, 2.0), (3, 5, 2.0)))
+    val r = DCSGreedy.run(g)
+    assert(r.winner == PeelGD && r.split)
+    assert(r.s.toSeq == Seq(0, 1, 2))
+    assert(r.density == 4.0)
+  }
+
+  test("the result names the candidate that won line 7 and whether lines 8-9 split it") {
+    val seen = mutable.Set.empty[DCSGreedy.Candidate]
+    for (seed <- 1 to 60; g <- Seq(TestKit.randomSigned(14, 0.3, 3.0, seed), TestKit.randomDiscrete(14, 0.3, 0.5, seed))) {
+      val r = DCSGreedy.run(g)
+      val (hu, hv) = (for (u <- 0 until g.n; v <- (u + 1) until g.n) yield (u, v)).maxBy { case (u, v) => g.weight(u, v) }
+      val cands = Seq[(DCSGreedy.Candidate, Seq[Int])](
+        MaxEdge -> Seq(hu, hv),
+        PeelGD -> Peeling.greedy(g).best.toSeq,
+        PeelGDPlus -> Peeling.greedy(g.positivePart).best.toSeq)
+      val (want, set) = cands.tail.foldLeft(cands.head)((b, c) => if (g.density(c._2) > g.density(b._2)) c else b)
+      val comps = g.componentsOf(set)
+      assert(r.winner == want, s"seed=$seed")
+      assert(r.split == (comps.size > 1), s"seed=$seed")
+      if (r.split) assert(comps.exists(_.sorted.sameElements(r.s)), s"seed=$seed")
+      else assert(r.s.sameElements(set.sorted), s"seed=$seed")
+      seen += r.winner
+    }
+    assert(seen == Set(MaxEdge, PeelGD, PeelGDPlus), s"winners seen: $seen")
   }
 }

@@ -4,6 +4,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestKit
 import repro.graph.WGraph
 
+import scala.collection.mutable
+import scala.util.Random
+
 class PeelingSpec extends AnyFunSuite {
 
   test("single vertex graph") {
@@ -76,5 +79,47 @@ class PeelingSpec extends AnyFunSuite {
     val g = TestKit.randomSigned(200, 0.05, 2.0, 7)
     val r = Peeling.greedy(g)
     assert(r.density >= g.density(0 until 200) - 1e-9)
+  }
+
+  test("PeelHeap pops (key, vertex) in mutable.PriorityQueue's order, ties and signed zeros included") {
+    val keys = Array(-1.0, -0.0, 0.0, 0.0, -0.0, 0.5, 1.0, 2.0)
+    def bits(k: Double, v: Int) = (java.lang.Double.doubleToRawLongBits(k), v)
+    for (seed <- 1 to 200) {
+      val rnd = new Random(seed)
+      val heap = new PeelHeap(1 + rnd.nextInt(4)) // small, so pushes grow it
+      val ref = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by[(Double, Int), Double](_._1).reverse)
+      val got = mutable.ArrayBuffer.empty[(Long, Int)]
+      val want = mutable.ArrayBuffer.empty[(Long, Int)]
+      def popBoth(): Unit = {
+        got += bits(heap.minKey, heap.minVertex); heap.pop()
+        val (k, v) = ref.dequeue(); want += bits(k, v)
+      }
+      val ops = 50 + rnd.nextInt(300)
+      for (i <- 0 until ops) {
+        if (ref.nonEmpty && rnd.nextInt(3) == 0) popBoth()
+        else {
+          val k = keys(rnd.nextInt(if (seed % 2 == 0) 3 else keys.length))
+          heap.push(k, i); ref.enqueue((k, i))
+        }
+      }
+      while (ref.nonEmpty) popBoth()
+      assert(got == want, s"seed=$seed")
+    }
+  }
+
+  test("greedy equals the boxed PriorityQueue peel on signed, +-1 and all-negative graphs") {
+    def same(g: WGraph, what: String): Unit = {
+      val a = Peeling.greedy(g)
+      val b = TestKit.priorityQueuePeel(g)
+      assert(a.best.sameElements(b.best), what)
+      assert(a.density == b.density, what)
+    }
+    for (seed <- 1 to 30) {
+      same(TestKit.randomSigned(60, 0.15, 3.0, seed), s"signed seed=$seed")
+      same(TestKit.randomDiscrete(60, 0.2, 0.6, seed), s"discrete seed=$seed")
+      same(TestKit.randomDiscrete(60, 0.2, 0.6, seed).positivePart, s"discrete G_D+ seed=$seed")
+    }
+    same(WGraph(4, Seq((0, 1, -1.0), (1, 2, -2.0), (2, 3, -5.0))), "all-negative")
+    same(TestKit.randomDiscrete(30, 0.3, 0.0, 5), "all-negative +-1")
   }
 }
