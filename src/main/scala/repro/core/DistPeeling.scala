@@ -27,10 +27,9 @@ object DistPeeling {
   /** Result: vertex ids of the best round plus its density and the trace. */
   final case class DistPeelResult(best: Array[Long], density: Double, rounds: Seq[Round])
 
-  private val MaxRounds = 200
-
   /** Peels `edges` (canonical `src < dst`, `w` column) down to empty,
-    * returning the densest intermediate vertex set.
+    * returning the densest intermediate vertex set. A round either stops or
+    * leaves fewer vertices, so the peel ends within `n` rounds.
     */
   def densest(edges: DataFrame, eps: Double = 0.1): DistPeelResult = {
     var cur = edges.select("src", "dst", "w").localCheckpoint(true)
@@ -38,7 +37,7 @@ object DistPeeling {
     var bestDensity = Double.NegativeInfinity
     val rounds = scala.collection.mutable.ArrayBuffer.empty[Round]
     var done = false
-    while (!done && rounds.size < MaxRounds) {
+    while (!done) {
       val degrees = cur
         .select(col("src") as "v", col("w"))
         .unionAll(cur.select(col("dst") as "v", col("w")))

@@ -3,9 +3,8 @@ package repro.core
 import repro.graph.WGraph
 
 import java.util.concurrent.CountDownLatch
-import java.util.concurrent.atomic.{AtomicInteger, AtomicLong, AtomicReference}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReference, DoubleAccumulator}
 
-import scala.collection.mutable
 import scala.concurrent.{ExecutionContext, blocking}
 
 /** NewSEA (Algorithm 5): SEACD + Refinement driven by the smart
@@ -38,7 +37,7 @@ object NewSea {
   /** Runs NewSEA on `G_{D+}`. */
   def run(gDp: WGraph): MultiResult = {
     val mu = smartBounds(gDp)
-    seedLoop(gDp, (0 until gDp.n).toArray.sortBy(u => -mu(u)), mu, useReplicator = false)(_ => ())
+    seedLoop(gDp, (0 until gDp.n).toArray.sortBy(u => -mu(u)), mu, useReplicator = false)._1
   }
 
   /** SEACD+Refine or SEA+Refine with an initialization at *every* vertex
@@ -49,18 +48,13 @@ object NewSea {
     * @param useReplicator  true for the original-SEA shrink (SEA+Refine)
     */
   def allInits(gDp: WGraph, useReplicator: Boolean): (MultiResult, Seq[AffinityResult]) = {
-    val cliques = mutable.LinkedHashMap.empty[Seq[Int], AffinityResult]
-    val noBound = Array.fill(gDp.n)(Double.PositiveInfinity)
-    val best = seedLoop(gDp, Array.range(0, gDp.n), noBound, useReplicator) { r =>
-      val key = r.supportSet.toSeq
-      if (key.nonEmpty && !cliques.contains(key)) cliques(key) = r
-    }
-    (best, dropSubsetCliques(cliques.values.toSeq))
+    val (best, found) = seedLoop(gDp, Array.range(0, gDp.n), Array.fill(gDp.n)(Double.PositiveInfinity), useReplicator)
+    (best, dropSubsetCliques(found))
   }
 
   /** Runs init, shrink/expand and Refinement from each seed of `order` and
     * keeps the best refined result, stopping at the first seed `u` whose
-    * `bound(u)` cannot beat the incumbent. `found` sees every refined result.
+    * `bound(u)` cannot beat the incumbent; also returns every seed's result in order.
     *
     * The seeds run on every core: each worker owns one [[AffinityState]] and
     * takes seed indices in order through [[claim]], which checks the bound
@@ -69,20 +63,19 @@ object NewSea {
     * stops past the point where the sequential loop stops, and every seed
     * before that point has run. After the join the results are replayed in
     * seed order with the sequential stopping rule, so `best` (its support
-    * too), `initsUsed`, `errors` and the calls to `found` are exactly those
+    * too), `initsUsed`, `errors` and the returned results are exactly those
     * of a single-threaded loop; results past the stop point are dropped. This
     * is exact because `reset` returns a state to all zeros, so a seed's
     * result does not depend on which seeds its state ran before.
     */
-  private[core] def seedLoop(gDp: WGraph, order: Array[Int], bound: Array[Double], useReplicator: Boolean)(
-      found: AffinityResult => Unit): MultiResult = {
+  private[core] def seedLoop(gDp: WGraph, order: Array[Int], bound: Array[Double],
+                             useReplicator: Boolean): (MultiResult, Seq[AffinityResult]) = {
     val m = order.length
     val results = new Array[AffinityResult](m)
     val errs = new Array[Int](m)
     val next = new AtomicInteger(0)
     val take = () => next.getAndIncrement()
-    // refined affinities are never negative, so their bit patterns order as the values do
-    val incumbent = new AtomicLong(java.lang.Double.doubleToLongBits(0.0))
+    val incumbent = new DoubleAccumulator((a, b) => math.max(a, b), 0.0)
     val failure = new AtomicReference[Throwable]
 
     // a failing worker stops the others; the caller rethrows its error after the join
@@ -95,7 +88,7 @@ object NewSea {
         val trace = if (useReplicator) ReplicatorSea.run(st) else Seacd.run(st)
         errs(k) = trace.expansionErrors
         results(k) = Refinement.run(st)
-        incumbent.accumulateAndGet(java.lang.Double.doubleToLongBits(results(k).f), (a, b) => math.max(a, b))
+        incumbent.accumulate(results(k).f)
         k = claim(take, incumbent, order, bound)
       }
     } catch { case e: Throwable => next.set(m); failure.compareAndSet(null, e) }
@@ -111,31 +104,32 @@ object NewSea {
     var errors = 0
     var k = 0
     while (k < m && bound(order(k)) > best.f) {
-      found(results(k))
       errors += errs(k)
       if (results(k).f > best.f) best = results(k)
       k += 1
     }
-    MultiResult(best, k, errors)
+    (MultiResult(best, k, errors), results.take(k).toSeq)
   }
 
   /** A seed-loop worker's next index into `order`, or -1 when it stops. It
     * reads the incumbent *before* it takes an index with `take`, and stops
     * once the seeds run out or the taken seed's bound cannot beat that read.
+    * `get` is not an atomic snapshot, but any value it returns was accumulated
+    * by a seed claimed before the read, which is all the stopping rule needs.
     */
-  private[core] def claim(take: () => Int, incumbent: AtomicLong, order: Array[Int], bound: Array[Double]): Int = {
-    val inc = java.lang.Double.longBitsToDouble(incumbent.get)
+  private[core] def claim(take: () => Int, incumbent: DoubleAccumulator, order: Array[Int], bound: Array[Double]): Int = {
+    val inc = incumbent.get
     val k = take()
     if (k < order.length && bound(order(k)) > inc) k else -1
   }
 
-  /** Removes cliques whose support is a strict subset of another clique's
-    * support, then sorts by descending affinity (Section VI-C
-    * post-processing). Array-backed so the scan is `O(C^2)` over the `C`
-    * distinct cliques.
+  /** Section VI-C post-processing: drops empty supports, keeps the first of
+    * each support in input order, drops strict subsets of another support
+    * and stable-sorts by descending affinity. The subset scan is `O(C^2)`
+    * over the `C` distinct cliques.
     */
   def dropSubsetCliques(cs: Seq[AffinityResult]): Seq[AffinityResult] = {
-    val arr = cs.toArray
+    val arr = cs.filter(_.supportSet.nonEmpty).distinctBy(_.supportSet.toSeq).toArray
     val sets = arr.map(_.supportSet.toSet)
     arr.indices
       .filterNot { i =>

@@ -26,6 +26,11 @@ final case class DiffSet(
 /** Scaled dataset sizes. The paper's graphs are 10-100x larger; `bench` keeps
   * every experiment inside a laptop-scale container while preserving each
   * dataset's shape (sign balance, density, weight extremes).
+  *
+  * Douban's density is not preserved: `SynthGraphs.douban` draws a fixed
+  * 115,000 (Movie) / 100,000 (Book) background pairs among ids `1350 until
+  * doubanN`, about 1.3% / 1.2% of those pairs at `bench` (4,150 ids) but
+  * 42% / 38% at `tiny` (650 ids, about 88.6k / 79.7k distinct pairs).
   */
 final case class Sizes(
     dblpN: Int, dblpBg: Long,

@@ -81,11 +81,17 @@ class DCSGreedySpec extends AnyFunSuite {
   }
 
   test("the disconnected-winner case picks its densest component") {
-    // graph engineered so Greedy(G_D+) returns two components
-    val g = WGraph(6, Seq((0, 1, 6.0), (2, 3, 6.0), (3, 4, 6.0), (2, 4, 6.0), (0, 5, -1.0)))
+    // an edge {0,1} of weight 25, and a K4 on {2,3,4,5} of weight 10 with a
+    // pendant edge (5,6) of weight 21: the peel keeps all 7 vertices
+    // (rho = 212/7 ~ 30.29), and lines 8-9 pick the denser second component
+    // (rho = 162/5 = 32.4) over the edge (rho = 25)
+    val k4 = for (i <- 2 until 6; j <- (i + 1) until 6) yield (i, j, 10.0)
+    val g = WGraph(7, (0, 1, 25.0) +: k4 :+ ((5, 6, 21.0)))
     val r = DCSGreedy.run(g)
+    assert(r.winner == PeelGD && r.split)
     assert(g.componentsOf(r.s.toSeq).size == 1)
-    assert(r.s.toSet == Set(2, 3, 4)) // triangle rho = 12 beats edge rho = 6
+    assert(r.s.toSeq == Seq(2, 3, 4, 5, 6))
+    assert(r.density == 32.4)
   }
 
   test("two equally dense components: the peel keeps both and the split picks the first") {

@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestKit
 import repro.graph.WGraph
 
-import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import java.util.concurrent.atomic.{AtomicInteger, DoubleAccumulator}
 
 class NewSeaSpec extends AnyFunSuite {
 
@@ -75,8 +75,13 @@ class NewSeaSpec extends AnyFunSuite {
     def res(s: Seq[Int], f: Double) = AffinityResult(s.map(u => (u, 1.0 / s.length)).toArray, f)
     val out = NewSea.dropSubsetCliques(Seq(
       res(Seq(1, 2), 0.5), res(Seq(1, 2, 3), 0.7), res(Seq(4, 5), 0.9), res(Seq(6), 0.0),
+      res(Seq(4, 5), 1.5), res(Seq.empty, 0.0),
     ))
     assert(out.map(_.supportSet.toSeq) == Seq(Seq(4, 5), Seq(1, 2, 3), Seq(6)))
+    // a repeated support keeps its first occurrence
+    assert(out.map(_.f) == Seq(0.9, 0.7, 0.0))
+    // an empty support is dropped even when nothing contains it
+    assert(NewSea.dropSubsetCliques(Seq(res(Seq.empty, 0.0))).isEmpty)
   }
 
   test("allInits collects the planted cliques (Table V machinery)") {
@@ -170,7 +175,7 @@ class NewSeaSpec extends AnyFunSuite {
     val mu = NewSea.smartBounds(g)
     val order = (0 until g.n).toArray.sortBy(u => -mu(u))
     // the eight K44 seeds have run: the incumbent is 1/2, the next seed is the first triangle
-    val incumbent = new AtomicLong(java.lang.Double.doubleToLongBits(0.5))
+    val incumbent = new DoubleAccumulator((a, b) => math.max(a, b), 0.5)
     val other = new AffinityState(g)
     // right after this worker takes seed 8, another worker takes seed 9, runs
     // it and raises the incumbent to seed 8's bound or above
@@ -180,18 +185,18 @@ class NewSeaSpec extends AnyFunSuite {
       val later = next.getAndIncrement()
       other.initAt(order(later))
       Seacd.run(other)
-      incumbent.set(java.lang.Double.doubleToLongBits(Refinement.run(other).f))
+      incumbent.accumulate(Refinement.run(other).f)
       k
     }
     assert(NewSea.claim(take, incumbent, order, mu) == 8)
-    assert(java.lang.Double.longBitsToDouble(incumbent.get) >= mu(order(8)), "the other worker's f reaches seed 8's bound")
+    assert(incumbent.get >= mu(order(8)), "the other worker's f reaches seed 8's bound")
   }
 
   test("an error in a seed-loop worker reaches the caller") {
     val g = TestKit.randomPositive(40, 0.3, 2.0, 1)
     val badSeeds = Array.fill(64)(g.n)
     intercept[IndexOutOfBoundsException] {
-      NewSea.seedLoop(g, badSeeds, Array.fill(g.n + 1)(Double.PositiveInfinity), useReplicator = false)(_ => ())
+      NewSea.seedLoop(g, badSeeds, Array.fill(g.n + 1)(Double.PositiveInfinity), useReplicator = false)
     }
   }
 }
