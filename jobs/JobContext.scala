@@ -4,8 +4,8 @@ import org.apache.spark.sql.SparkSession
 
 /** The SparkSession every driver program outside the test suites starts
   * from: master from `SPARK_MASTER` (default `local[*]`) and broadcast joins
-  * off, so the difference-graph join always shuffles. The paper tables
-  * themselves run through the bench suites (`sbt "bench/test"`).
+  * off, so DistPeeling's edge filters, the only joins, always shuffle. The
+  * paper tables themselves run through the bench suites (`sbt "bench/test"`).
   */
 object JobContext {
   def spark(name: String): SparkSession =

@@ -21,10 +21,9 @@ object EgoScan {
 
   final case class EgoScanResult(s: Array[Int], totalWeight: Double)
 
-  /** Seeds scanned per run, moves per local search and vertices per ego net. */
+  /** Seeds scanned per run and moves per local search. */
   private val MaxSeeds = 64
   private val MaxMoves = 200000
-  private val MaxEgoSize = 4000
 
   /** Runs the scan. Seeds are the `MaxSeeds` vertices with the largest
     * positive weighted degree (scanning every ego-net, as the original does,
@@ -50,12 +49,10 @@ object EgoScan {
     val gD = st.g
     // 2-hop ego net of the seed: the candidate universe for this scan
     val allowed = new Array[Boolean](gD.n)
-    var egoSize = 0
-    def allow(u: Int): Unit = if (!allowed(u) && egoSize < MaxEgoSize) { allowed(u) = true; egoSize += 1 }
-    allow(seed)
-    gD.foreachNbr(seed) { (v, _) => allow(v) }
+    allowed(seed) = true
+    gD.foreachNbr(seed) { (v, _) => allowed(v) = true }
     val oneHop = (0 until gD.n).filter(allowed)
-    oneHop.foreach(u => gD.foreachNbr(u) { (v, _) => allow(v) })
+    oneHop.foreach(u => gD.foreachNbr(u) { (v, _) => allowed(v) = true })
 
     // x is the 0/1 indicator of S, so dx(u) = sum of D(u,v) over v in S: the
     // gain of adding u, or the loss of removing it

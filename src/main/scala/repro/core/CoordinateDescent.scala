@@ -20,13 +20,14 @@ object CoordinateDescent {
   /** Runs 2-coordinate descent restricted to the vertex set `allowed`.
     *
     * Vertices outside `allowed` keep `x = 0`; vertices inside may enter or
-    * leave the support. Returns the number of iterations performed.
+    * leave the support. Returns the number of iterations performed; throws
+    * `IllegalStateException` if the gap test still fails after `MaxIter`.
     */
   def descend(st: AffinityState, allowed: Array[Int], eps: Double): Int = {
     val g = st.g
     var iter = 0
     var done = false
-    while (!done && iter < MaxIter) {
+    while (!done) {
       // i = argmax_{k in allowed, x_k < 1} grad_k ; j = argmin_{k in allowed, x_k > 0} grad_k
       var i = -1; var gi = Double.NegativeInfinity
       var j = -1; var gj = Double.PositiveInfinity
@@ -39,6 +40,8 @@ object CoordinateDescent {
         k += 1
       }
       if (i == -1 || j == -1 || i == j || 2.0 * (gi - gj) <= eps) done = true
+      else if (iter == MaxIter)
+        throw new IllegalStateException(s"CoordinateDescent.descend reached MaxIter = $MaxIter on a support of ${st.supportSize} vertices")
       else {
         val c = st.x(i) + st.x(j)
         val d = g.weight(i, j)

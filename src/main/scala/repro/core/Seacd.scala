@@ -25,13 +25,17 @@ object Seacd {
 
   private val MaxOuter = 10000
 
-  /** Runs SEACD from the current state of `st` (callers `initAt` a seed). */
+  /** Runs SEACD from the current state of `st` (callers `initAt` a seed);
+    * throws `IllegalStateException` if `MaxOuter` rounds do not converge.
+    */
   def run(st: AffinityState): Trace = {
     var allowed = st.support
     var errors = 0
     var outer = 0
     var done = false
-    while (!done && outer < MaxOuter) {
+    while (!done) {
+      if (outer == MaxOuter)
+        throw new IllegalStateException(s"Seacd.run reached MaxOuter = $MaxOuter on a support of ${st.supportSize} vertices")
       outer += 1
       CoordinateDescent.descend(st, allowed, CoordinateDescent.epsFor(allowed.length))
       val fBefore = st.f

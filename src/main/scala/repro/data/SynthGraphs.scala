@@ -21,8 +21,8 @@ import scala.util.Random
   * result is independent of partitioning).
   *
   * Graphs are emitted as `(src, dst, w1, w2)` rows; `g1`/`g2` project the
-  * respective positive weights, so `DiffGraph.difference` exercises the real
-  * full-outer-join path.
+  * respective positive weights, so `DiffGraph.difference` sums records from
+  * both graphs for the pairs they share.
   */
 object SynthGraphs {
 
@@ -291,7 +291,7 @@ object SynthGraphs {
     rows ++= community(isCommIds, isP, seed, _ => (0.0, 1.0))
     rows ++= community(siCommIds, siP, seed + 1, _ => (1.0, 0.0))
     // background: social edges heavily outnumber interest edges; ~6% of pairs
-    // are in both graphs (diff 0 -> dropped by the difference join)
+    // are in both graphs (diff 0 -> dropped by the difference)
     val (bgPairs, interestFrac) = if (movie) (115000L, 0.20) else (100000L, 0.11)
     val bg = background(spark, bgPairs, 1350, n, seed) { (u1, _, u3) =>
       val w1 = when(u1 < interestFrac, when(u3 < 0.06, 1.0).otherwise(0.0)).otherwise(1.0)

@@ -39,24 +39,17 @@ object DiffGraph {
       .agg(sum("w") as "w")
       .where(col("w") =!= 0.0)
 
-  /** Builds the difference graph `G_D` with `D = A2 - alpha * A1` via a
-    * full-outer join of the two canonical edge lists (Section III-D
-    * generalization; `alpha = 1` is the standard `A2 - A1`).
+  /** Builds the difference graph `G_D` with `D = A2 - alpha * A1` (Section
+    * III-D generalization; `alpha = 1` is the standard `A2 - A1`) by one
+    * aggregation over the signed union: `canonicalize` of the `g2` records and
+    * the `g1` records with `w` replaced by `-alpha * w`.
     *
     * Edges whose difference is exactly 0 are dropped, matching
-    * `E_D = {(u,v) | D(u,v) != 0}`.
+    * `E_D = {(u,v) | D(u,v) != 0}`. A pair given by several non-integer
+    * records may round differently in the last ulp (sums run in Spark's order).
     */
-  def difference(g1: DataFrame, g2: DataFrame, alpha: Double = 1.0): DataFrame = {
-    val e1 = canonicalize(g1).withColumnRenamed("w", "w1")
-    val e2 = canonicalize(g2).withColumnRenamed("w", "w2")
-    e2.join(e1, Seq("src", "dst"), "full_outer")
-      .select(
-        col("src"),
-        col("dst"),
-        (coalesce(col("w2"), lit(0.0)) - lit(alpha) * coalesce(col("w1"), lit(0.0))) as "w",
-      )
-      .where(col("w") =!= 0.0)
-  }
+  def difference(g1: DataFrame, g2: DataFrame, alpha: Double = 1.0): DataFrame =
+    canonicalize(g2.unionByName(g1.withColumn("w", lit(-alpha) * col("w"))))
 
   /** Keeps only the positive-weight edges (`G_{D+}`). */
   def positivePart(diff: DataFrame): DataFrame = diff.where(col("w") > 0.0)

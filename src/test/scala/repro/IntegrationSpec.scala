@@ -1,5 +1,6 @@
 package repro
 
+import org.apache.spark.sql.functions.col
 import repro.baseline.EgoScan
 import repro.core._
 import repro.data.SynthGraphs
@@ -107,6 +108,19 @@ class IntegrationSpec extends SparkSpec {
     assert(gD.weight(18, 19) == -100.0)
     val total = DiffGraph.stats(emerging(dblp), dblp.n)
     assert(total.mPos.toInt + total.mNeg.toInt == gD.numEdges)
+    // sum w2 - sum w1 per canonical pair of the raw records, zeros dropped
+    val sums = dblp.pairs
+      .select(col("src").cast("long"), col("dst").cast("long"), col("w1").cast("double"), col("w2").cast("double"))
+      .collect().toSeq
+      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt, r.getDouble(2), r.getDouble(3)))
+      .filter { case (u, v, _, _) => u != v }
+      .groupMapReduce { case (u, v, _, _) => (u min v, u max v) } { case (_, _, w1, w2) => (w1, w2) } {
+        case ((a1, a2), (b1, b2)) => (a1 + b1, a2 + b2)
+      }
+    val local = WGraph(dblp.n, sums.toSeq.collect { case ((u, v), (s1, s2)) if s2 - s1 != 0.0 => (u, v, s2 - s1) })
+    assert(local.offsets.sameElements(gD.offsets))
+    assert(local.nbrs.sameElements(gD.nbrs))
+    assert(local.wts.sameElements(gD.wts))
   }
 
   test("DCSAD via distributed peeling candidates matches local DCSGreedy on DBLP positives") {

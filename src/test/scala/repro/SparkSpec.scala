@@ -8,8 +8,8 @@ import repro.jobs.JobContext
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM. The session is [[JobContext.spark]]'s, so broadcast
-  * joins are disabled and the difference-graph joins and DistPeeling's edge
-  * filters take the shuffle path they take on large inputs.
+  * joins are disabled and DistPeeling's edge filters, the only joins, take
+  * the shuffle path they take on large inputs.
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -96,6 +96,18 @@ class CoordinateDescentSpec extends AnyFunSuite {
     }
   }
 
+  test("descend throws at its iteration cap instead of returning a truncated point") {
+    // no edge between 0 and 1 and all mass on 0: i = 1, j = 0, the gap is 0
+    // and every step leaves x as it is, so a negative eps is never met
+    val g = WGraph(2, Seq.empty)
+    val st = stateOn(g, Map(0 -> 1.0))
+    val e = intercept[IllegalStateException] {
+      CoordinateDescent.descend(st, Array(0, 1), -1.0)
+    }
+    assert(e.getMessage.contains("MaxIter = 2000000"), e.getMessage)
+    assert(e.getMessage.contains("support of 1 vertices"), e.getMessage)
+  }
+
   test("epsFor follows the paper's 1e-2/|S| precision schedule") {
     assert(CoordinateDescent.epsFor(10) == 1e-3)
     assert(CoordinateDescent.epsFor(0) == 1e-2)

@@ -21,24 +21,42 @@ class DiffGraphSpec extends SparkSpec {
     assert(out.toSet == Set((1L, 2L, 3.0)))
   }
 
+  // Each graph has repeated records in both orientations (and identical ones),
+  // a self loop and a pair that cancels only once its duplicates are summed;
+  // (1,2) and (7,8) cancel across the graphs at alpha = 2, (2,6) at alpha = 1.
+  // Dyadic weights keep every sum exact.
+  private lazy val g1dup = df(Seq((1L, 2L, 0.5), (2L, 1L, 0.75), (3L, 3L, 2.0), (4L, 5L, 1.5), (5L, 4L, -1.5),
+                                  (2L, 6L, 0.25), (6L, 2L, 0.25), (8L, 7L, 0.25), (7L, 8L, 0.25), (1L, 3L, 0.5), (1L, 3L, 0.5)))
+  private lazy val g2dup = df(Seq((2L, 1L, 1.25), (1L, 2L, 1.25), (5L, 5L, 4.0), (3L, 4L, 0.5), (4L, 3L, -0.5),
+                                  (6L, 2L, 0.5), (7L, 8L, 0.5), (8L, 7L, 0.5), (4L, 5L, 2.0), (9L, 10L, -0.75), (9L, 10L, -0.75)))
+
   test("difference matches DuckDB full-outer-join semantics (oracle)") {
-    val diff = DiffGraph.difference(g1, g2)
-    Oracle.assertEquivalent(
-      diff.select(col("src"), col("dst"), col("w")),
-      """SELECT COALESCE(e2.src, e1.src) AS src, COALESCE(e2.dst, e1.dst) AS dst,
-        |       COALESCE(CAST(e2.w AS DOUBLE), 0) - COALESCE(CAST(e1.w AS DOUBLE), 0) AS w
-        |FROM (SELECT LEAST(CAST(src AS BIGINT), CAST(dst AS BIGINT)) AS src,
-        |             GREATEST(CAST(src AS BIGINT), CAST(dst AS BIGINT)) AS dst, SUM(CAST(w AS DOUBLE)) AS w
-        |      FROM g2raw GROUP BY 1, 2) e2
-        |FULL OUTER JOIN
-        |     (SELECT LEAST(CAST(src AS BIGINT), CAST(dst AS BIGINT)) AS src,
-        |             GREATEST(CAST(src AS BIGINT), CAST(dst AS BIGINT)) AS dst, SUM(CAST(w AS DOUBLE)) AS w
-        |      FROM g1raw GROUP BY 1, 2) e1
-        |USING (src, dst)
-        |WHERE COALESCE(CAST(e2.w AS DOUBLE), 0) - COALESCE(CAST(e1.w AS DOUBLE), 0) <> 0
-        |""".stripMargin,
-      "g1raw" -> g1, "g2raw" -> g2,
-    )
+    // the reference: canonicalize each graph on its own, then join them
+    def side(table: String): String =
+      s"""SELECT LEAST(CAST(src AS BIGINT), CAST(dst AS BIGINT)) AS src,
+         |       GREATEST(CAST(src AS BIGINT), CAST(dst AS BIGINT)) AS dst, SUM(CAST(w AS DOUBLE)) AS w
+         |FROM $table WHERE CAST(src AS BIGINT) <> CAST(dst AS BIGINT) GROUP BY 1, 2""".stripMargin
+    def fullOuterJoin(alpha: Double): String =
+      s"""SELECT COALESCE(e2.src, e1.src) AS src, COALESCE(e2.dst, e1.dst) AS dst,
+         |       COALESCE(e2.w, 0) - $alpha * COALESCE(e1.w, 0) AS w
+         |FROM (${side("g2raw")}) e2
+         |FULL OUTER JOIN (${side("g1raw")}) e1
+         |USING (src, dst)
+         |WHERE COALESCE(e2.w, 0) - $alpha * COALESCE(e1.w, 0) <> 0
+         |""".stripMargin
+    for ((a, b, alpha) <- Seq((g1, g2, 1.0), (g1dup, g2dup, 1.0), (g1dup, g2dup, 2.0)))
+      Oracle.assertEquivalent(
+        DiffGraph.difference(a, b, alpha).select(col("src"), col("dst"), col("w")),
+        fullOuterJoin(alpha),
+        "g1raw" -> a, "g2raw" -> b,
+      )
+  }
+
+  test("difference is one aggregation over the signed union: no join in its plan") {
+    import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Join}
+    val plan = DiffGraph.difference(g1, g2).queryExecution.optimizedPlan
+    assert(plan.collect { case j: Join => j }.isEmpty, plan.treeString)
+    assert(plan.collect { case a: Aggregate => a }.size == 1, plan.treeString)
   }
 
   test("difference drops exactly-cancelling edges") {
