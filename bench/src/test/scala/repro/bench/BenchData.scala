@@ -3,10 +3,10 @@ package repro.bench
 import repro.SparkSpec
 import repro.harness.{Datasets, DiffSet, Sizes}
 
-/** One shared bench-scale dataset bundle for every bench suite (suites run
-  * sequentially in one JVM, so the expensive generation happens once).
+/** One shared set of bench-scale configurations for every bench suite (suites
+  * run sequentially in one JVM, so the expensive generation happens once).
   */
 object BenchData {
-  lazy val bundle: Datasets.Bundle = Datasets.build(SparkSpec.shared, Sizes.bench)
-  lazy val byKey: Map[String, DiffSet] = bundle.diffSets.map(ds => ds.key -> ds).toMap
+  lazy val sets: Seq[DiffSet] = Datasets.build(SparkSpec.shared, Sizes.bench)
+  lazy val byKey: Map[String, DiffSet] = sets.map(ds => ds.key -> ds).toMap
 }

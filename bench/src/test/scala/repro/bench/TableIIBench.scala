@@ -11,7 +11,7 @@ import repro.harness.Tables
   */
 class TableIIBench extends SparkSpec {
 
-  private lazy val rows = Tables.tableII(BenchData.bundle)
+  private lazy val rows = Tables.tableII(BenchData.sets)
   private def stat(key: String) = rows.find(_._1.key == key).get._2
 
   test("print Table II") {

@@ -12,7 +12,7 @@ import repro.harness.Tables
   */
 class TableIII_IVBench extends SparkSpec {
 
-  private lazy val rows = Tables.tableIII_IV(BenchData.bundle)
+  private lazy val rows = Tables.tableIII_IV(BenchData.sets)
   private def row(setting: String, gdType: String, measure: String) =
     rows.find(r => r.setting == setting && r.gdType == gdType && r.measure == measure).get
 

@@ -15,7 +15,7 @@ import repro.harness.Tables
   */
 class TableVIIBench extends SparkSpec {
 
-  private lazy val rows = Tables.tableVII(BenchData.bundle.diffSets)
+  private lazy val rows = Tables.tableVII(BenchData.sets)
 
   test("print Table VII") {
     println("==== Table VII (ours, bench scale; paper times in EXPERIMENTS.md) ====")
@@ -60,7 +60,7 @@ class TableVIIBench extends SparkSpec {
   }
 
   test("smart initialization tries only a tiny fraction of the vertices") {
-    val totalN = BenchData.bundle.diffSets.map(_.n).sum
+    val totalN = BenchData.sets.map(_.n).sum
     val totalInits = rows.map(_.newSeaInits).sum
     assert(totalInits.toDouble / totalN < 0.25, s"$totalInits inits over $totalN vertices")
   }

@@ -13,8 +13,8 @@ import repro.harness.Tables
   */
 class TableVIII_IXBench extends SparkSpec {
 
-  private lazy val rows = Tables.tableVIII_IX(BenchData.bundle)
-  private lazy val iv = Tables.tableIII_IV(BenchData.bundle)
+  private lazy val rows = Tables.tableVIII_IX(BenchData.sets)
+  private lazy val iv = Tables.tableIII_IV(BenchData.sets)
 
   test("print Tables VIII and IX") {
     println("==== Tables VIII / IX (ours, bench scale) ====")

@@ -17,7 +17,7 @@ import repro.harness.Tables
   */
 class TableV_VIBench extends SparkSpec {
 
-  private lazy val t = Tables.tableV_VI(BenchData.bundle)
+  private lazy val t = Tables.tableV_VI(BenchData.sets)
   private def words(topic: (Seq[(String, Double)], Double)): Set[String] = topic._1.map(_._1).toSet
 
   test("print Tables V and VI") {

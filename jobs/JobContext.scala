@@ -9,7 +9,7 @@ import org.apache.spark.sql.SparkSession
   */
 object JobContext {
   def spark(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -43,7 +43,8 @@ object EgoScan {
   }
 
   /** Hill-climbs `W_D(S)` from `{seed} + positive neighbors of seed`,
-    * restricted — as in the original EgoScan — to the seed's (2-hop) ego net.
+    * restricted — as in the original EgoScan — to the seed's (2-hop) ego net;
+    * throws `IllegalStateException` if it makes `MaxMoves` moves.
     */
   private def localSearch(st: AffinityState, gDp: WGraph, seed: Int): EgoScanResult = {
     val gD = st.g
@@ -66,7 +67,8 @@ object EgoScan {
 
     var moves = 0
     var improved = true
-    while (improved && moves < MaxMoves) {
+    while (improved) {
+      if (moves == MaxMoves) throw new IllegalStateException(s"EgoScan reached MaxMoves = $MaxMoves from seed $seed")
       improved = false
       // best add: candidate u not in S with dx > 0; best remove: u in S with dx < 0
       var bestU = -1; var bestGain = 1e-12; var bestIsAdd = true

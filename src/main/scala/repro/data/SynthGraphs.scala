@@ -78,7 +78,7 @@ object SynthGraphs {
   /** Background pairs generated in Spark: `count` pseudo-random pairs with ids
     * in `[lo, n)` and weights from `wExpr` (columns `u1`,`u2`,`u3` are iid
     * U[0,1) to build weight expressions from). Self-pairs are dropped and
-    * duplicates collapsed, so the realized count is slightly below `count`.
+    * duplicates collapsed to their lowest-`id` draw, so the realized count is slightly below `count`.
     */
   private def background(spark: SparkSession, count: Long, lo: Int, n: Int, seed: Long)(
       wExpr: (org.apache.spark.sql.Column, org.apache.spark.sql.Column, org.apache.spark.sql.Column) => (org.apache.spark.sql.Column, org.apache.spark.sql.Column)
@@ -89,14 +89,15 @@ object SynthGraphs {
     val raw = spark
       .range(count)
       .select(
+        col("id"),
         (pmod(xxhash64(col("id"), lit(seed)), lit(range)) + lo) as "a",
         (pmod(xxhash64(col("id"), lit(seed + 1)), lit(range)) + lo) as "b",
         u(2) as "u1", u(3) as "u2", u(4) as "u3",
       )
       .where(col("a") =!= col("b"))
-      .select(least(col("a"), col("b")) as "src", greatest(col("a"), col("b")) as "dst", col("u1"), col("u2"), col("u3"))
+      .select(least(col("a"), col("b")) as "src", greatest(col("a"), col("b")) as "dst", col("id"), col("u1"), col("u2"), col("u3"))
       .groupBy("src", "dst")
-      .agg(first("u1") as "u1", first("u2") as "u2", first("u3") as "u3")
+      .agg(min_by(col("u1"), col("id")) as "u1", min_by(col("u2"), col("id")) as "u2", min_by(col("u3"), col("id")) as "u3")
     val (w1, w2) = wExpr(col("u1"), col("u2"), col("u3"))
     raw.select(col("src"), col("dst"), w1 as "w1", w2 as "w2")
   }

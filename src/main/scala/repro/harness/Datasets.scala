@@ -2,25 +2,19 @@ package repro.harness
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.data.SynthGraphs
+import repro.data.SynthGraphs.TwoGraphs
 import repro.graph.{DiffGraph, WGraph}
 
 /** A named difference-graph configuration — one row of the paper's Table II.
   *
-  * The DataFrame is the Spark-side edge list (input to stats and distributed
-  * peeling); `wg` collects it once into the local kernel for the local-search
-  * algorithms.
+  * `in` is the generated pair the configuration is built on; `df` is the
+  * Spark-side edge list (input to stats and distributed peeling); `wg`
+  * collects it once into the local kernel for the local-search algorithms.
   */
-final case class DiffSet(
-    data: String,
-    setting: String,
-    gdType: String,
-    n: Int,
-    df: DataFrame,
-    label: Int => String,
-    planted: Map[String, Seq[Int]],
-) {
+final case class DiffSet(data: String, setting: String, gdType: String, in: TwoGraphs, df: DataFrame) {
   lazy val wg: WGraph = DiffGraph.toWGraph(df, n)
   def key: String = s"$data/$setting/$gdType"
+  def n: Int = in.n
 }
 
 /** Scaled dataset sizes. The paper's graphs are 10-100x larger; `bench` keeps
@@ -46,53 +40,57 @@ object Sizes {
   val tiny: Sizes = Sizes(1200, 6000, 800, 8000, 1500, 12000, 2000, 5000, 20000, 2000, 15000)
 }
 
-/** Builds the 16 difference-graph configurations of Table II. */
+/** The 16 difference-graph configurations of Table II: `inputs` generates the
+  * seven input pairs, `configs` builds the configurations on any such pairs.
+  */
 object Datasets {
 
-  final case class Bundle(diffSets: Seq[DiffSet], dm: SynthGraphs.TwoGraphs)
-
   /** `G_D = A2 - A1` for a generated pair. */
-  def emerging(ds: SynthGraphs.TwoGraphs): DataFrame = DiffGraph.difference(ds.g1, ds.g2)
+  def emerging(ds: TwoGraphs): DataFrame = DiffGraph.difference(ds.g1, ds.g2)
 
-  def build(spark: SparkSession, s: Sizes): Bundle = {
-    val dblp = SynthGraphs.dblp(spark, s.dblpN, s.dblpBg)
-    val dm = SynthGraphs.dm(spark, s.dmN, s.dmBg)
-    val wiki = SynthGraphs.wiki(spark, s.wikiN, s.wikiBg)
-    val movie = SynthGraphs.douban(spark, "Movie", s.doubanN)
-    val book = SynthGraphs.douban(spark, "Book", s.doubanN)
-    val dblpc = SynthGraphs.dblpC(spark, s.dblpcN, s.dblpcBg)
-    val actor = SynthGraphs.actor(spark, s.actorN, s.actorBg)
+  /** The seven input pairs at sizes `s`, each generated with its calibrated
+    * default seed, keyed by the `data` name of its configurations.
+    */
+  def inputs(spark: SparkSession, s: Sizes): Map[String, TwoGraphs] = Map(
+    "DBLP" -> SynthGraphs.dblp(spark, s.dblpN, s.dblpBg),
+    "DM" -> SynthGraphs.dm(spark, s.dmN, s.dmBg),
+    "Wiki" -> SynthGraphs.wiki(spark, s.wikiN, s.wikiBg),
+    "Movie" -> SynthGraphs.douban(spark, "Movie", s.doubanN),
+    "Book" -> SynthGraphs.douban(spark, "Book", s.doubanN),
+    "DBLP-C" -> SynthGraphs.dblpC(spark, s.dblpcN, s.dblpcBg),
+    "Actor" -> SynthGraphs.actor(spark, s.actorN, s.actorBg),
+  )
 
-    val dblpDiff = emerging(dblp).cache()
-    val dblpDisc = DiffGraph.discretize(dblpDiff).cache()
-    val dmDiff = emerging(dm).cache()
-    val wikiConsistent = DiffGraph.difference(wiki.g2, wiki.g1).cache() // positive - conflict
-    val movieIS = emerging(movie).cache() // interest - social
-    val bookIS = emerging(book).cache()
-    val dblpcDiff = emerging(dblpc).cache()
-    val actorDiff = emerging(actor).cache()
+  /** The 16 configurations on the pairs `in` (keyed as by `inputs`), in Table
+    * II order. Each configuration's base difference graph is cached and its
+    * variants (negated, discretized, capped) are built on the cached base;
+    * `sets.foreach(_.df.unpersist(blocking = true))` releases them.
+    */
+  def configs(in: Map[String, TwoGraphs]): Seq[DiffSet] = {
+    def base(data: String, setting: String, gdType: String, df: DataFrame) =
+      DiffSet(data, setting, gdType, in(data), df.cache())
+    def variant(of: DiffSet, setting: String, gdType: String)(op: DataFrame => DataFrame) =
+      DiffSet(of.data, setting, gdType, of.in, op(of.df))
 
-    def set(data: String, setting: String, gdType: String, ds: SynthGraphs.TwoGraphs, df: DataFrame) =
-      DiffSet(data, setting, gdType, ds.n, df, ds.label, ds.planted)
-
-    val diffSets = Seq(
-      set("DBLP", "Weighted", "Emerging", dblp, dblpDiff),
-      set("DBLP", "Weighted", "Disappearing", dblp, DiffGraph.negate(dblpDiff)),
-      set("DBLP", "Discrete", "Emerging", dblp, dblpDisc),
-      set("DBLP", "Discrete", "Disappearing", dblp, DiffGraph.negate(dblpDisc)),
-      set("DM", "-", "Emerging", dm, dmDiff),
-      set("DM", "-", "Disappearing", dm, DiffGraph.negate(dmDiff)),
-      set("Wiki", "-", "Consistent", wiki, wikiConsistent),
-      set("Wiki", "-", "Conflicting", wiki, DiffGraph.negate(wikiConsistent)),
-      set("Movie", "-", "Interest-Social", movie, movieIS),
-      set("Movie", "-", "Social-Interest", movie, DiffGraph.negate(movieIS)),
-      set("Book", "-", "Interest-Social", book, bookIS),
-      set("Book", "-", "Social-Interest", book, DiffGraph.negate(bookIS)),
-      set("DBLP-C", "Weighted", "-", dblpc, dblpcDiff),
-      set("DBLP-C", "Discrete", "-", dblpc, DiffGraph.discretizeAll(dblpcDiff)),
-      set("Actor", "Weighted", "-", actor, actorDiff),
-      set("Actor", "Discrete", "-", actor, DiffGraph.capWeights(actorDiff, 10.0)),
+    val dblp = base("DBLP", "Weighted", "Emerging", emerging(in("DBLP")))
+    val dblpDisc = base("DBLP", "Discrete", "Emerging", DiffGraph.discretize(dblp.df))
+    val dm = base("DM", "-", "Emerging", emerging(in("DM")))
+    val wiki = base("Wiki", "-", "Consistent", DiffGraph.difference(in("Wiki").g2, in("Wiki").g1)) // positive - conflict
+    val movie = base("Movie", "-", "Interest-Social", emerging(in("Movie"))) // interest - social
+    val book = base("Book", "-", "Interest-Social", emerging(in("Book")))
+    val dblpc = base("DBLP-C", "Weighted", "-", emerging(in("DBLP-C")))
+    val actor = base("Actor", "Weighted", "-", emerging(in("Actor")))
+    Seq(
+      dblp, variant(dblp, "Weighted", "Disappearing")(DiffGraph.negate),
+      dblpDisc, variant(dblpDisc, "Discrete", "Disappearing")(DiffGraph.negate),
+      dm, variant(dm, "-", "Disappearing")(DiffGraph.negate),
+      wiki, variant(wiki, "-", "Conflicting")(DiffGraph.negate),
+      movie, variant(movie, "-", "Social-Interest")(DiffGraph.negate),
+      book, variant(book, "-", "Social-Interest")(DiffGraph.negate),
+      dblpc, variant(dblpc, "Discrete", "-")(DiffGraph.discretizeAll),
+      actor, variant(actor, "Discrete", "-")(DiffGraph.capWeights(_, 10.0)),
     )
-    Bundle(diffSets, dm)
   }
+
+  def build(spark: SparkSession, s: Sizes): Seq[DiffSet] = configs(inputs(spark, s))
 }

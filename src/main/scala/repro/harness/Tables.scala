@@ -1,8 +1,8 @@
 package repro.harness
 
+import org.apache.spark.sql.DataFrame
 import repro.baseline.EgoScan
 import repro.core._
-import repro.data.SynthGraphs
 import repro.graph.{DiffGraph, GraphStats, WGraph}
 
 /** Computations behind every table of the paper's evaluation section.
@@ -21,8 +21,8 @@ object Tables {
 
   // ------------------------------------------------------------- Table II
 
-  def tableII(bundle: Datasets.Bundle): Seq[(DiffSet, GraphStats)] =
-    bundle.diffSets.map(ds => ds -> DiffGraph.stats(ds.df, ds.n))
+  def tableII(sets: Seq[DiffSet]): Seq[(DiffSet, GraphStats)] =
+    sets.map(ds => ds -> DiffGraph.stats(ds.df, ds.n))
 
   def renderII(rows: Seq[(DiffSet, GraphStats)]): String = {
     val header = f"${"Data"}%-8s ${"Setting"}%-9s ${"GD Type"}%-16s ${"n"}%8s ${"m+"}%9s ${"m-"}%9s ${"Max w"}%9s ${"Min w"}%9s ${"Avg w"}%9s"
@@ -52,27 +52,25 @@ object Tables {
   private def matchPlanted(planted: Map[String, Seq[Int]], s: Seq[Int]): String =
     planted.collectFirst { case (name, ids) if ids.toSet == s.toSet => name }.getOrElse("?")
 
-  def tableIII_IV(bundle: Datasets.Bundle): Seq[GroupRow] = {
-    val dblpSets = bundle.diffSets.filter(_.data == "DBLP")
-    dblpSets.flatMap { ds =>
+  def tableIII_IV(sets: Seq[DiffSet]): Seq[GroupRow] =
+    sets.filter(_.data == "DBLP").flatMap { ds =>
       val g = ds.wg
       val ad = DCSGreedy.run(g)
       val ga = NewSea.run(g.positivePart)
       val gaSet = ga.best.supportSet.toSeq
       Seq(
         GroupRow(ds.setting, ds.gdType, "AvgDegree",
-          matchPlanted(ds.planted, ad.s.toSeq),
-          ad.s.toSeq.map(u => (ds.label(u), Double.NaN)),
+          matchPlanted(ds.in.planted, ad.s.toSeq),
+          ad.s.toSeq.map(u => (ds.in.label(u), Double.NaN)),
           ad.s.length, g.isPositiveClique(ad.s.toSeq),
           ad.density, ad.ratio, Double.NaN, g.edgeDensity(ad.s.toSeq)),
         GroupRow(ds.setting, ds.gdType, "Affinity",
-          matchPlanted(ds.planted, gaSet),
-          ga.best.embedding.map { case (u, w) => (ds.label(u), w) }.toSeq,
+          matchPlanted(ds.in.planted, gaSet),
+          ga.best.embedding.map { case (u, w) => (ds.in.label(u), w) }.toSeq,
           gaSet.length, g.isPositiveClique(gaSet),
           g.density(gaSet), Double.NaN, ga.best.f, g.edgeDensity(gaSet)),
       )
     }
-  }
 
   def renderIII_IV(rows: Seq[GroupRow]): String = {
     val iv = rows.map { r =>
@@ -105,17 +103,15 @@ object Tables {
       g2Top: Seq[(Seq[(String, Double)], Double)],
   )
 
-  def tableV_VI(bundle: Datasets.Bundle): TopicTables = {
-    val dm = bundle.dm
-    val diff = bundle.diffSets.find(_.key == "DM/-/Emerging").get
-    val gD = diff.wg
-    val g1 = DiffGraph.toWGraph(DiffGraph.canonicalize(dm.g1), dm.n)
-    val g2 = DiffGraph.toWGraph(DiffGraph.canonicalize(dm.g2), dm.n)
+  def tableV_VI(sets: Seq[DiffSet]): TopicTables = {
+    def gDp(key: String) = sets.find(_.key == key).get.wg.positivePart
+    val dm = sets.find(_.data == "DM").get.in
+    def single(g: DataFrame) = DiffGraph.toWGraph(DiffGraph.canonicalize(g), dm.n)
     TopicTables(
-      emerging = topTopics(gD.positivePart, dm.label, 5),
-      disappearing = topTopics(gD.negated.positivePart, dm.label, 5),
-      g1Top = topTopics(g1, dm.label, 5),
-      g2Top = topTopics(g2, dm.label, 5),
+      emerging = topTopics(gDp("DM/-/Emerging"), dm.label, 5),
+      disappearing = topTopics(gDp("DM/-/Disappearing"), dm.label, 5),
+      g1Top = topTopics(single(dm.g1), dm.label, 5),
+      g2Top = topTopics(single(dm.g2), dm.label, 5),
     )
   }
 
@@ -167,8 +163,8 @@ object Tables {
       wEgo: Double, wDcsGreedy: Double, wNewSea: Double,
   )
 
-  def tableVIII_IX(bundle: Datasets.Bundle): Seq[EgoRow] =
-    bundle.diffSets.filter(_.data == "DBLP").map { ds =>
+  def tableVIII_IX(sets: Seq[DiffSet]): Seq[EgoRow] =
+    sets.filter(_.data == "DBLP").map { ds =>
       val g = ds.wg
       val ego = EgoScan.run(g)
       val dcs = DCSGreedy.run(g)

@@ -137,10 +137,21 @@ class SynthGraphsSpec extends SparkSpec {
   }
 
   test("background generation is independent of partitioning") {
-    val a = SynthGraphs.dm(spark, n = 500, bgPairs = 2000).pairs.repartition(3)
-    val b = SynthGraphs.dm(spark, n = 500, bgPairs = 2000).pairs.repartition(17)
-    val ka = a.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getDouble(3))).toSet
-    val kb = b.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getDouble(3))).toSet
-    assert(ka == kb)
+    // 29 background ids give 406 pairs, so most of the 2,000 draws are
+    // duplicates that the generator must collapse the same way every time
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    val saved = spark.conf.getOption(key)
+    def generate(slices: Int) = {
+      spark.conf.set(key, slices.toLong)
+      assert(spark.range(10).rdd.getNumPartitions == slices)
+      SynthGraphs.dm(spark, n = 60, bgPairs = 2000).pairs.collect()
+        .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getDouble(3))).toSet
+    }
+    try {
+      val a = generate(1)
+      val b = generate(7)
+      assert(a.count(_._1 >= 31) < 1000, "most draws are duplicates")
+      assert(a == b)
+    } finally saved.fold(spark.conf.unset(key))(spark.conf.set(key, _))
   }
 }
