@@ -20,7 +20,9 @@ final class AffinityState(val g: WGraph) {
   /** `(Dx)_u` for every vertex; gradient is `2 * dx(u)`. */
   val dx = new Array[Double](g.n)
 
-  /** [[Expansion]]'s `gamma_v`, by vertex; zero between its calls. */
+  /** [[Expansion]]'s `gamma_v`, by vertex; `+0.0` between its calls, which
+    * its omega sum relies on.
+    */
   private[core] val gamma = new Array[Double](g.n)
 
   // the touched and support lists, in insertion order, so every sum over them has one order
@@ -57,7 +59,19 @@ final class AffinityState(val g: WGraph) {
       System.arraycopy(supportList, idx + 1, supportList, idx, supportCount - idx - 1)
       supportCount -= 1
     }
-    g.foreachNbr(u) { (v, w) => dx(v) += w * delta; touch(v) }
+    // the dx scatter is SEACD's hottest loop: it reads the CSR arrays directly, with
+    // `touch` inline on locals, and visits and touches neighbours in CSR order
+    val nbrs = g.nbrs; val wts = g.wts
+    val dx = this.dx; val flag = touchedFlag; val list = touchedList
+    var count = touchedCount
+    var i = g.offsets(u); val end = g.offsets(u + 1)
+    while (i < end) {
+      val v = nbrs(i)
+      dx(v) += wts(i) * delta
+      if (!flag(v)) { flag(v) = true; list(count) = v; count += 1 }
+      i += 1
+    }
+    touchedCount = count
   }
 
   /** Objective `f_D(x) = sum_u x_u (Dx)_u`, computed over the support. */

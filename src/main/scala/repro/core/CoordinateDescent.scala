@@ -25,6 +25,7 @@ object CoordinateDescent {
     */
   def descend(st: AffinityState, allowed: Array[Int], eps: Double): Int = {
     val g = st.g
+    val x = st.x; val dx = st.dx
     var iter = 0
     var done = false
     while (!done) {
@@ -34,23 +35,24 @@ object CoordinateDescent {
       var k = 0
       while (k < allowed.length) {
         val v = allowed(k)
-        val gv = st.dx(v) // grad/2 — the factor 2 cancels in every comparison
-        if (st.x(v) < 1.0 && gv > gi) { i = v; gi = gv }
-        if (st.x(v) > 0.0 && gv < gj) { j = v; gj = gv }
+        val xv = x(v)
+        val gv = dx(v) // grad/2 — the factor 2 cancels in every comparison
+        if (xv < 1.0 && gv > gi) { i = v; gi = gv }
+        if (xv > 0.0 && gv < gj) { j = v; gj = gv }
         k += 1
       }
       if (i == -1 || j == -1 || i == j || 2.0 * (gi - gj) <= eps) done = true
       else if (iter == MaxIter)
         throw new IllegalStateException(s"CoordinateDescent.descend reached MaxIter = $MaxIter on a support of ${st.supportSize} vertices")
       else {
-        val c = st.x(i) + st.x(j)
+        val c = x(i) + x(j)
         val d = g.weight(i, j)
-        val bi = st.dx(i) - d * st.x(j)
-        val bj = st.dx(j) - d * st.x(i)
+        val bi = dx(i) - d * x(j)
+        val bj = dx(j) - d * x(i)
         // g(xi) = -d*xi^2 + B*xi + const, B = d*c + bi - bj
         val newXi: Double =
           if (d == 0.0) {
-            if (bi > bj) c else if (bi < bj) 0.0 else st.x(i)
+            if (bi > bj) c else if (bi < bj) 0.0 else x(i)
           } else {
             val bCoef = d * c + bi - bj
             def gval(t: Double): Double = -d * t * t + bCoef * t

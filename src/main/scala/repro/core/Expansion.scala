@@ -41,11 +41,19 @@ object Expansion {
       s += gamma(v); zeta += gamma(v) * gamma(v)
       k += 1
     }
-    var omega = 0.0 // sum over ordered pairs (i, j) in Z^2 of gamma_i gamma_j D(i,j)
+    // omega = sum over ordered pairs (i, j) in Z^2 of gamma_i gamma_j D(i,j). The loop adds the
+    // term of every CSR neighbour u of v, with no test for u in Z, and gets the same bits: off Z,
+    // gamma(u) is exactly +0.0, so with gamma_v and w finite (fromEdges rejects NaN and infinite
+    // weights) the term (gamma_v * gamma_u) * w is +-0.0. Adding +-0.0 leaves a nonzero sum as it
+    // is and a +0.0 sum at +0.0; the sum starts at +0.0, and a round-to-nearest addition gives
+    // -0.0 only from two -0.0 operands, so it is never -0.0.
+    val nbrs = st.g.nbrs; val wts = st.g.wts; val offsets = st.g.offsets
+    var omega = 0.0
     k = 0
     while (k < z.length) {
-      val v = z(k)
-      st.g.foreachNbr(v) { (u, w) => if (gamma(u) != 0.0) omega += gamma(v) * gamma(u) * w }
+      val v = z(k); val gv = gamma(v)
+      var i = offsets(v); val end = offsets(v + 1)
+      while (i < end) { omega += gv * gamma(nbrs(i)) * wts(i); i += 1 }
       k += 1
     }
     val a = fbar * s * s + 2.0 * s * zeta - omega

@@ -55,8 +55,16 @@ final class WGraph private (
     s
   }
 
-  /** Applies `f(neighbor, weight)` to every neighbor of `u`. */
-  @inline def foreachNbr(u: Int)(f: (Int, Double) => Unit): Unit = {
+  /** Applies `f(neighbor, weight)` to every neighbor of `u`, in CSR order.
+    *
+    * Each call builds a closure (boxing any `var` it updates) and calls it
+    * through `Function2`; scalac does not inline this method, as neither
+    * build passes `-opt` flags. That cost shows only in SEACD's per-seed
+    * loops, which run millions of times per NewSEA pass, so
+    * `AffinityState.setX`'s `dx` scatter and `Expansion.expand`'s omega sum
+    * read `offsets`/`nbrs`/`wts` directly.
+    */
+  def foreachNbr(u: Int)(f: (Int, Double) => Unit): Unit = {
     var i = offsets(u)
     while (i < offsets(u + 1)) { f(nbrs(i), wts(i)); i += 1 }
   }

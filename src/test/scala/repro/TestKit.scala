@@ -114,6 +114,51 @@ object TestKit {
     WGraph(n, edges)
   }
 
+  /** `g` with every pair of `clique` set to an edge of weight +1, whatever
+    * its weight in `g` was.
+    */
+  def withPlantedClique(g: WGraph, clique: Seq[Int]): WGraph = {
+    val w = mutable.LinkedHashMap.empty[(Int, Int), Double]
+    for (u <- 0 until g.n) g.foreachNbr(u)((v, x) => if (u < v) w((u, v)) = x)
+    for (a <- clique; b <- clique if a < b) w((a, b)) = 1.0
+    WGraph(g.n, w.iterator.map { case ((u, v), x) => (u, v, x) }.toSeq)
+  }
+
+  /** Reference for `Expansion.expand`: the same step with the omega sum
+    * written as a `foreachNbr` closure filtered to `gamma(u) != 0.0`, the
+    * plain form that the branch-free CSR loop must match bit for bit. A local
+    * `gamma` stands in for the state's scratch array, which is all zeros
+    * between calls.
+    */
+  def closureExpand(st: AffinityState, z: Array[Int]): Double = {
+    if (z.isEmpty) return st.f
+    val fbar = st.f
+    val gamma = new Array[Double](st.g.n)
+    var s = 0.0; var zeta = 0.0
+    var k = 0
+    while (k < z.length) {
+      val v = z(k)
+      gamma(v) = st.dx(v) - fbar
+      s += gamma(v); zeta += gamma(v) * gamma(v)
+      k += 1
+    }
+    var omega = 0.0
+    k = 0
+    while (k < z.length) {
+      val v = z(k)
+      st.g.foreachNbr(v) { (u, w) => if (gamma(u) != 0.0) omega += gamma(v) * gamma(u) * w }
+      k += 1
+    }
+    val a = fbar * s * s + 2.0 * s * zeta - omega
+    val tau = if (a <= 0.0) 1.0 / s else math.min(1.0 / s, zeta / a)
+    val oldSup = st.support
+    oldSup.foreach(u => st.setX(u, st.x(u) * (1.0 - tau * s)))
+    k = 0
+    while (k < z.length) { val v = z(k); st.setX(v, tau * gamma(v)); k += 1 }
+    st.renormalize()
+    st.f
+  }
+
   /** Solves the dense linear system `A x = b` by Gaussian elimination with
     * partial pivoting; returns None if (near-)singular.
     */

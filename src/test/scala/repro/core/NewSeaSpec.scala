@@ -170,6 +170,21 @@ class NewSeaSpec extends AnyFunSuite {
     }
   }
 
+  test("dense +-1 graph with a planted 18-clique: NewSEA finds it, as allInits and the sequential loop do") {
+    // G(650, 0.42) with +-1 weights, as tiny Douban's background: mu_u = tau_u/(tau_u+1) is
+    // near 1 for almost every vertex, so the bound prunes little and most seeds run
+    val n = 650
+    val clique = new scala.util.Random(18).shuffle((0 until n).toList).take(18)
+    val g = TestKit.withPlantedClique(TestKit.randomDiscrete(n, 0.42, 0.5, 650), clique).positivePart
+    val r = NewSea.run(g)
+    info(s"NewSEA ran ${r.initsUsed} of $n seeds")
+    assert(math.abs(r.best.f - 17.0 / 18) < 1e-9, s"f = ${r.best.f}") // Motzkin-Straus: 1 - 1/18
+    assert(r.best.supportSet.toSet == clique.toSet)
+    val (all, _) = NewSea.allInits(g, useReplicator = false)
+    assert(r.best.f == all.best.f)
+    assert(r.initsUsed == sequentialRun(g).initsUsed)
+  }
+
   test("a worker reads the incumbent before it claims a seed") {
     val g = bipartiteThenTriangles
     val mu = NewSea.smartBounds(g)

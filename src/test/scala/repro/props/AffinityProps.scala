@@ -19,6 +19,54 @@ object AffinityProps extends Properties("DCSGA") {
     seed <- Gen.choose(0L, 100000L)
   } yield TestKit.randomSigned(n, p, 2.0, seed)
 
+  /** Signed, positive, +-1 and dense +-1 graphs with a planted +1 clique
+    * (tiny Douban's ego-nets are of the last kind).
+    */
+  private val genExpandable = for {
+    n <- Gen.choose(3, 40)
+    p <- Gen.choose(0.2, 0.7)
+    seed <- Gen.choose(0L, 100000L)
+    kind <- Gen.choose(0, 3)
+  } yield kind match {
+    case 0 => TestKit.randomSigned(n, p, 2.0, seed)
+    case 1 => TestKit.randomPositive(n, p, 2.0, seed)
+    case 2 => TestKit.randomDiscrete(n, p, 0.5, seed)
+    case _ =>
+      val clique = new scala.util.Random(seed).shuffle((0 until n).toList).take(math.max(2, n / 4))
+      TestKit.withPlantedClique(TestKit.randomDiscrete(n, 0.42, 0.5, seed), clique)
+  }
+
+  private def sameBits(a: Array[Double], b: Array[Double]): Boolean =
+    java.util.Arrays.equals(a.map(java.lang.Double.doubleToRawLongBits), b.map(java.lang.Double.doubleToRawLongBits))
+
+  property("expand leaves bit for bit the state of the closure-and-filter reference") =
+    Prop.forAll(genExpandable) { g =>
+      // from every seed, two fresh states run SEACD's rounds in lockstep, one expanding with each form
+      (0 until g.n).forall { seed =>
+        val a = new AffinityState(g); val b = new AffinityState(g)
+        a.initAt(seed); b.initAt(seed)
+        var same = true
+        var done = false
+        var rounds = 0
+        while (same && !done && rounds < 1000) {
+          CoordinateDescent.descend(a, a.support, CoordinateDescent.epsFor(a.supportSize))
+          CoordinateDescent.descend(b, b.support, CoordinateDescent.epsFor(b.supportSize))
+          val tol = math.max(1e-9, math.abs(a.f) * 1e-9)
+          val z = Expansion.candidates(a, tol)
+          same = z.sameElements(Expansion.candidates(b, tol))
+          if (z.isEmpty) done = true
+          else if (same) {
+            val fa = Expansion.expand(a, z)
+            val fb = TestKit.closureExpand(b, z)
+            same = sameBits(Array(fa), Array(fb)) && sameBits(a.x, b.x) && sameBits(a.dx, b.dx) &&
+              a.touched.sameElements(b.touched) && a.support.sameElements(b.support)
+          }
+          rounds += 1
+        }
+        same && done
+      }
+    }
+
   property("descent preserves the simplex and never decreases f") =
     Prop.forAll(genSigned, Gen.choose(0L, 9999L)) { (g, s) =>
       val st = new AffinityState(g)
