@@ -56,33 +56,20 @@ object DCSGreedy {
     }
 
     val gDp = gD.positivePart
-    val maxEdge = Array(bu, bv)
     val peelGDp = Future(Peeling.greedy(gDp))(ExecutionContext.global)
     val s1 = Peeling.greedy(gD).best
     val s2 = Await.result(peelGDp, Duration.Inf).best
 
-    // line 7: all candidates scored by density in G_D
-    var s = maxEdge
-    var rho = gD.density(maxEdge)
-    var winner: Candidate = MaxEdge
-    for ((cand, from) <- Seq(s1 -> PeelGD, s2 -> PeelGDPlus)) {
-      val r = gD.density(cand)
-      if (r > rho) { rho = r; s = cand; winner = from }
-    }
+    // line 7: all candidates scored by density in G_D; maxBy keeps the
+    // first of equally dense candidates
+    val (cand, winner) = Seq(Array(bu, bv) -> MaxEdge, s1 -> PeelGD, s2 -> PeelGDPlus)
+      .maxBy { case (c, _) => gD.density(c) }
 
     // lines 8-9: keep the densest connected component of G_D(S)
-    val comps = gD.componentsOf(s)
+    val comps = gD.componentsOf(cand)
     val split = comps.size > 1
-    if (split) {
-      var bestComp = comps.head
-      var bestRho = gD.density(bestComp)
-      for (c <- comps.tail) {
-        val r = gD.density(c)
-        if (r > bestRho) { bestRho = r; bestComp = c }
-      }
-      s = bestComp
-      rho = bestRho
-    }
+    val s = if (split) comps.maxBy(c => gD.density(c)) else cand
+    val rho = gD.density(s)
 
     val ratio = 2.0 * gDp.density(s2) / rho
     DCSResult(s.sorted, rho, ratio, winner, split)

@@ -26,6 +26,12 @@ object Expansion {
     java.util.Arrays.stream(st.touched).filter(v => st.x(v) == 0.0 && st.dx(v) > fbar + tol).toArray
   }
 
+  /** Whether an expansion that took the objective from `fBefore` to `fAfter`
+    * decreased it: an expansion error (Table VII's "#Errors in SEA"). SEACD
+    * and the replicator SEA count errors with this one test.
+    */
+  def isError(fBefore: Double, fAfter: Double): Boolean = fAfter < fBefore - 1e-9
+
   /** Performs one expansion step over `z`, distinct vertices with `(Dx)_v > f`
     * as both candidate rules give; returns the new objective value.
     */

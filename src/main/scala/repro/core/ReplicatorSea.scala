@@ -13,15 +13,21 @@ package repro.core
   */
 object ReplicatorSea {
 
+  private val MaxShrinkIter = 100000
+
   /** Replicator-dynamics shrink on the current support until the objective
-    * improvement drops below `shrinkTol`. Returns iterations used.
+    * improvement drops below `shrinkTol`. Returns iterations used; throws
+    * `IllegalStateException` if the improvement still exceeds `shrinkTol`
+    * after `MaxShrinkIter` updates.
     */
-  def replicatorShrink(st: AffinityState, shrinkTol: Double = 1e-6, maxIter: Int = 100000): Int = {
+  def replicatorShrink(st: AffinityState, shrinkTol: Double = 1e-6): Int = {
     var iter = 0
     var done = false
     var fOld = st.f
-    while (!done && iter < maxIter) {
+    while (!done) {
       if (fOld <= 0.0) done = true // no internal positive weight: dynamic is undefined/stalled
+      else if (iter == MaxShrinkIter)
+        throw new IllegalStateException(s"ReplicatorSea.replicatorShrink reached MaxShrinkIter = $MaxShrinkIter on a support of ${st.supportSize} vertices")
       else {
         val sup = st.support
         // simultaneous update: compute every new value from the old x and Dx
@@ -78,7 +84,7 @@ object ReplicatorSea {
       if (z.isEmpty) done = true
       else {
         val fAfter = Expansion.expand(st, z)
-        if (fAfter < fBefore - 1e-9) {
+        if (Expansion.isError(fBefore, fAfter)) {
           // erroneous expansion: objective decreased; give up on this seed
           // (continuing would re-enter the same broken shrink/expand cycle)
           errors += 1

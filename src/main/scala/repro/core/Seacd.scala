@@ -42,8 +42,7 @@ object Seacd {
       val z = Expansion.candidates(st, math.max(ExpTol, math.abs(fBefore) * 1e-9))
       if (z.isEmpty) done = true
       else {
-        val fAfter = Expansion.expand(st, z)
-        if (fAfter < fBefore - 1e-9) errors += 1
+        if (Expansion.isError(fBefore, Expansion.expand(st, z))) errors += 1
         allowed = st.support
       }
     }

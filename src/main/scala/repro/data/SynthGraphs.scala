@@ -1,6 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import scala.collection.mutable
@@ -32,7 +32,6 @@ object SynthGraphs {
     * @param label   rendering of a vertex id (author name / keyword)
     */
   final case class TwoGraphs(
-      name: String,
       n: Int,
       pairs: DataFrame, // (src, dst, w1, w2)
       planted: Map[String, Seq[Int]],
@@ -76,39 +75,49 @@ object SynthGraphs {
   }
 
   /** Background pairs generated in Spark: `count` pseudo-random pairs with ids
-    * in `[lo, n)` and weights from `wExpr` (columns `u1`,`u2`,`u3` are iid
-    * U[0,1) to build weight expressions from). Self-pairs are dropped and
-    * duplicates collapsed to their lowest-`id` draw, so the realized count is slightly below `count`.
+    * in `[lo, n)` and weights from `wExpr` (its arguments `u1`,`u2`,`u3` are
+    * iid U[0,1) to build weight expressions from). Self-pairs are dropped and
+    * duplicates collapsed to their lowest-`id` draw, so the realized count is
+    * slightly below `count`. The `u`s depend on `id` alone, so they are
+    * hashed for the kept draw only.
     */
   private def background(spark: SparkSession, count: Long, lo: Int, n: Int, seed: Long)(
-      wExpr: (org.apache.spark.sql.Column, org.apache.spark.sql.Column, org.apache.spark.sql.Column) => (org.apache.spark.sql.Column, org.apache.spark.sql.Column)
+      wExpr: (Column, Column, Column) => (Column, Column)
   ): DataFrame = {
     val range = (n - lo).toLong
-    def u(salt: Int) =
-      (pmod(xxhash64(col("id"), lit(seed + salt)), lit(1000000L)).cast("double") / 1000000.0)
-    val raw = spark
+    def hash(salt: Int) = xxhash64(col("id"), lit(seed + salt))
+    def u(salt: Int) = pmod(hash(salt), lit(1000000L)).cast("double") / 1000000.0
+    val (w1, w2) = wExpr(u(2), u(3), u(4))
+    spark
       .range(count)
-      .select(
-        col("id"),
-        (pmod(xxhash64(col("id"), lit(seed)), lit(range)) + lo) as "a",
-        (pmod(xxhash64(col("id"), lit(seed + 1)), lit(range)) + lo) as "b",
-        u(2) as "u1", u(3) as "u2", u(4) as "u3",
-      )
+      .select((pmod(hash(0), lit(range)) + lo) as "a", (pmod(hash(1), lit(range)) + lo) as "b", col("id"))
       .where(col("a") =!= col("b"))
-      .select(least(col("a"), col("b")) as "src", greatest(col("a"), col("b")) as "dst", col("id"), col("u1"), col("u2"), col("u3"))
-      .groupBy("src", "dst")
-      .agg(min_by(col("u1"), col("id")) as "u1", min_by(col("u2"), col("id")) as "u2", min_by(col("u3"), col("id")) as "u3")
-    val (w1, w2) = wExpr(col("u1"), col("u2"), col("u3"))
-    raw.select(col("src"), col("dst"), w1 as "w1", w2 as "w2")
+      .groupBy(least(col("a"), col("b")) as "src", greatest(col("a"), col("b")) as "dst")
+      .agg(min(col("id")) as "id")
+      .select(col("src"), col("dst"), w1 as "w1", w2 as "w2")
   }
 
-  private def assemble(spark: SparkSession, name: String, n: Int,
+  /** Background weights of a co-author pair (DBLP, DBLP-C): with probability
+    * `pG1` the pair publishes more in `G1`, else in `G2`. The larger count is
+    * 1 with probability `p1`, 2..4 up to `p4` and 5..8 beyond; the other
+    * graph gets 1 in 30% of pairs and 0 otherwise.
+    */
+  private def coauthorCounts(pG1: Double, p1: Double, p4: Double)(u1: Column, u2: Column, u3: Column): (Column, Column) = {
+    val mag = when(u2 < p1, 1.0)
+      .when(u2 < p4, (u3 * 3).cast("int") + 2) // 2..4
+      .otherwise((u3 * 4).cast("int") + 5) // 5..8
+    val w1 = when(u1 < pG1, mag).otherwise(when(u3 < 0.3, 1.0).otherwise(0.0))
+    val w2 = when(u1 < pG1, when(u3 < 0.3, 1.0).otherwise(0.0)).otherwise(mag)
+    (w1.cast("double"), w2.cast("double"))
+  }
+
+  private def assemble(spark: SparkSession, n: Int,
                        plantedRows: Seq[(Int, Int, Double, Double)],
                        bg: DataFrame,
                        planted: Map[String, Seq[Int]],
                        label: Int => String = _.toString): TwoGraphs = {
     val p = pairsDF(spark, plantedRows)
-    TwoGraphs(name, n, p.unionByName(bg), planted, label)
+    TwoGraphs(n, p.unionByName(bg), planted, label)
   }
 
   // ------------------------------------------------------------------ DBLP
@@ -157,14 +166,7 @@ object SynthGraphs {
     // background co-author diffs: integer counts, mostly small; positive diffs
     // are 1 two-thirds of the time (so the Discrete mapping drops them, as in
     // Table II where discrete m+ is a third of weighted m+)
-    val bg = background(spark, bgPairs, 162, n, seed) { (u1, u2, u3) =>
-      val mag = when(u2 < 0.66, 1.0)
-        .when(u2 < 0.91, (u3 * 3).cast("int") + 2) // 2..4
-        .otherwise((u3 * 4).cast("int") + 5) // 5..8
-      val w1 = when(u1 < 0.5, mag).otherwise(when(u3 < 0.3, 1.0).otherwise(0.0))
-      val w2 = when(u1 < 0.5, when(u3 < 0.3, 1.0).otherwise(0.0)).otherwise(mag)
-      (w1.cast("double"), w2.cast("double"))
-    }
+    val bg = background(spark, bgPairs, 162, n, seed)(coauthorCounts(0.5, 0.66, 0.91))
 
     val names = Map(
       0 -> "Feiping Nie", 1 -> "Heng Huang", 2 -> "Chris H. Q. Ding", 3 -> "Hua Wang",
@@ -174,7 +176,7 @@ object SynthGraphs {
       14 -> "Hirohisa Hirukawa", 15 -> "Shuuji Kajita", 16 -> "Kenji Kaneko",
       17 -> "Mitsuharu Morisawa", 18 -> "Toshio Fukuda", 19 -> "Fumihito Arai",
     )
-    assemble(spark, "DBLP", n, rows.toSeq, bg,
+    assemble(spark, n, rows.toSeq, bg,
       Map("UTA-ML" -> uta, "CMU" -> cmu, "Robotics1" -> robo1, "Robotics2" -> robo2,
           "Robotics3" -> robo3, "Compiler" -> compiler, "Community" -> communityIds),
       u => names.getOrElse(u, if (u <= 41) s"Compiler-${u - 20}" else s"author$u"))
@@ -223,7 +225,7 @@ object SynthGraphs {
       val w2 = when(u1 < 0.25, lit(0.0)).when(u1 >= 0.40, wB).otherwise(wB)
       (w1, w2)
     }
-    assemble(spark, "DM", n, rows, bg,
+    assemble(spark, n, rows, bg,
       Map(
         "social networks" -> Seq(0, 1), "large scale" -> Seq(2, 3),
         "matrix factorization" -> Seq(4, 5), "semi supervised learning" -> Seq(6, 7, 8),
@@ -266,7 +268,7 @@ object SynthGraphs {
       val w2 = when(u1 < 0.38, when(u3 < 0.15, u3 * 2).otherwise(0.0)).otherwise(mag)
       (w1, w2)
     }
-    assemble(spark, "Wiki", n, rows.toSeq, bg,
+    assemble(spark, n, rows.toSeq, bg,
       Map("Consistent5" -> cons5, "Conflicting6" -> conf6, "ExtremePair" -> extreme,
           "ConsistentCommunity" -> consComm, "ConflictingCommunity" -> confComm))
   }
@@ -299,7 +301,7 @@ object SynthGraphs {
       val w2 = when(u1 < interestFrac, 1.0).otherwise(when(u3 < 0.06, 1.0).otherwise(0.0))
       (w1.cast("double"), w2.cast("double"))
     }
-    assemble(spark, s"Douban-$interest", n, rows.toSeq, bg,
+    assemble(spark, n, rows.toSeq, bg,
       Map("InterestClique" -> isClique, "SocialClique" -> siClique,
           "InterestCommunity" -> isCommIds, "SocialCommunity" -> siCommIds),
       u => s"user$u")
@@ -319,15 +321,8 @@ object SynthGraphs {
     rows += ((0, 1, 2.0, 402.0)) // diff +400 (Table II max w)
     rows ++= clique(clique26, k => (1.0, if (k % 5 == 0) 8.0 else 7.0)) // diffs 6..7 -> Discrete 2
     rows += ((28, 29, 188.0, 2.0)) // diff -186 (Table II min w)
-    val bg = background(spark, bgPairs, 30, n, seed) { (u1, u2, u3) =>
-      val mag = when(u2 < 0.60, 1.0)
-        .when(u2 < 0.90, (u3 * 3).cast("int") + 2)
-        .otherwise((u3 * 4).cast("int") + 5)
-      val w1 = when(u1 < 0.48, mag).otherwise(when(u3 < 0.3, 1.0).otherwise(0.0))
-      val w2 = when(u1 < 0.48, when(u3 < 0.3, 1.0).otherwise(0.0)).otherwise(mag)
-      (w1.cast("double"), w2.cast("double"))
-    }
-    assemble(spark, "DBLP-C", n, rows.toSeq, bg,
+    val bg = background(spark, bgPairs, 30, n, seed)(coauthorCounts(0.48, 0.60, 0.90))
+    assemble(spark, n, rows.toSeq, bg,
       Map("HeavyPair" -> heavyPair, "Clique26" -> clique26))
   }
 
@@ -356,7 +351,7 @@ object SynthGraphs {
         .otherwise((u3 * 20).cast("int") + 10)
       (lit(0.0), w2.cast("double"))
     }
-    assemble(spark, "Actor", n, rows.toSeq, bg,
+    assemble(spark, n, rows.toSeq, bg,
       Map("Triangle" -> tri, "Clique21" -> clique21),
       u => s"actor$u")
   }

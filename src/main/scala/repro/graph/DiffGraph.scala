@@ -122,22 +122,14 @@ object DiffGraph {
     * working sets are tiny.
     */
   def toWGraph(diff: DataFrame, n: Int): WGraph = {
-    val rows = diff.select(col("src").cast("long"), col("dst").cast("long"), col("w").cast("double")).collect()
-    val us = new Array[Int](rows.length)
-    val vs = new Array[Int](rows.length)
-    val ws = new Array[Double](rows.length)
+    import diff.sparkSession.implicits._
+    val rows = diff.select(col("src").cast("long"), col("dst").cast("long"), col("w").cast("double"))
+      .as[(Long, Long, Double)].collect()
     def vertex(id: Long): Int = {
       require(id >= 0 && id < n, s"vertex id $id outside [0, $n)")
       id.toInt
     }
-    var i = 0
-    while (i < rows.length) {
-      us(i) = vertex(rows(i).getLong(0))
-      vs(i) = vertex(rows(i).getLong(1))
-      ws(i) = rows(i).getDouble(2)
-      i += 1
-    }
-    WGraph.fromEdges(n, us, vs, ws)
+    WGraph.fromEdges(n, rows.map(r => vertex(r._1)), rows.map(r => vertex(r._2)), rows.map(_._3))
   }
 
   /** Lifts a local graph into a canonical edge-list DataFrame. */

@@ -264,6 +264,8 @@ object WGraph {
     keep.foreach { i =>
       require(us(i) != vs(i), s"self loop at ${us(i)}")
       require(ws(i).isFinite, s"weight ${ws(i)} of (${us(i)}, ${vs(i)}) is not finite")
+      require(us(i) >= 0 && us(i) < n, s"vertex id ${us(i)} outside [0, $n)")
+      require(vs(i) >= 0 && vs(i) < n, s"vertex id ${vs(i)} outside [0, $n)")
       deg(us(i)) += 1; deg(vs(i)) += 1
     }
     val offsets = new Array[Int](n + 1)

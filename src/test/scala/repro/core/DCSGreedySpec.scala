@@ -56,6 +56,18 @@ class DCSGreedySpec extends AnyFunSuite {
     }
   }
 
+  test("line 7 keeps the first of equally dense candidates") {
+    // one positive edge: all three candidates are {0, 1} with rho = 3
+    val edge = DCSGreedy.run(WGraph(2, Seq((0, 1, 3.0))))
+    assert(edge.winner == MaxEdge && !edge.split)
+    assert(edge.s.toSeq == Seq(0, 1) && edge.density == 3.0)
+    // a positive triangle (rho = 4) plus an isolated vertex: MaxEdge has
+    // rho = 2, and both peels stop at the triangle, so Greedy(G_D) wins
+    val tri = DCSGreedy.run(WGraph(4, Seq((0, 1, 2.0), (1, 2, 2.0), (0, 2, 2.0))))
+    assert(tri.winner == PeelGD && !tri.split)
+    assert(tri.s.toSeq == Seq(0, 1, 2) && tri.density == 4.0)
+  }
+
   test("heaviest-edge candidate rescues adversarial instances") {
     // dense mildly-positive blob vs one very heavy isolated edge
     val blob = for (i <- 0 until 8; j <- (i + 1) until 8) yield (i, j, 0.1)

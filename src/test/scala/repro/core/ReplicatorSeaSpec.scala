@@ -22,8 +22,17 @@ class ReplicatorSeaSpec extends AnyFunSuite {
     val g = WGraph(3, Seq((0, 1, 2.0), (1, 2, 2.0), (0, 2, 2.0)))
     val st = new AffinityState(g)
     st.setX(0, 0.5); st.setX(1, 0.3); st.setX(2, 0.2)
-    ReplicatorSea.replicatorShrink(st, shrinkTol = 1e-14, maxIter = 100000)
+    ReplicatorSea.replicatorShrink(st, shrinkTol = 1e-14)
     assert(math.abs(st.f - 4.0 / 3) < 1e-3)
+  }
+
+  test("a shrink that never meets its tolerance fails at MaxShrinkIter") {
+    // the improvement is never <= -1, so only the cap ends the loop
+    val g = WGraph(3, Seq((0, 1, 2.0), (1, 2, 2.0), (0, 2, 2.0)))
+    val st = new AffinityState(g)
+    st.setX(0, 0.5); st.setX(1, 0.3); st.setX(2, 0.2)
+    val e = intercept[IllegalStateException] { ReplicatorSea.replicatorShrink(st, shrinkTol = -1.0) }
+    assert(e.getMessage.contains("MaxShrinkIter = 100000") && e.getMessage.contains("support of 3 vertices"))
   }
 
   test("zero-objective support stalls gracefully (isolated seed)") {
@@ -56,7 +65,7 @@ class ReplicatorSeaSpec extends AnyFunSuite {
     val itLoose = ReplicatorSea.replicatorShrink(st1, shrinkTol = 1e-3)
     val st2 = new AffinityState(g)
     (0 until 20).foreach(u => st2.setX(u, 0.05))
-    val itStrict = ReplicatorSea.replicatorShrink(st2, shrinkTol = 1e-12, maxIter = 50000)
+    val itStrict = ReplicatorSea.replicatorShrink(st2, shrinkTol = 1e-12)
     assert(itLoose < itStrict)
   }
 

@@ -37,6 +37,13 @@ class WGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("vertex ids outside [0, n) are rejected, naming the id") {
+    for (bad <- Seq(4, -1); edge <- Seq((bad, 1, 1.0), (1, bad, 1.0))) {
+      val e = intercept[IllegalArgumentException] { WGraph(4, Seq((0, 1, 1.0), edge)) }
+      assert(e.getMessage.contains(s"vertex id $bad outside [0, 4)"), e.getMessage)
+    }
+  }
+
   test("weight is symmetric and 0 for absent edges") {
     assert(triangle.weight(0, 1) == 1.0)
     assert(triangle.weight(1, 0) == 1.0)
