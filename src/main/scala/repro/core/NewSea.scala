@@ -10,12 +10,15 @@ import scala.concurrent.{ExecutionContext, blocking}
 /** NewSEA (Algorithm 5): SEACD + Refinement driven by the smart
   * initialization heuristic of Section V-D.
   *
-  * For every vertex `u`, `mu_u = tau_u * w_u / (tau_u + 1)` upper-bounds the
-  * affinity of any clique in `G_{D+}` containing `u` (Thm 6 with the core
-  * number `tau_u` bounding the clique size and the ego-net maximum weight
-  * `w_u` bounding edge weights). Seeds are tried in descending `mu_u` order
-  * and the loop stops at the first seed whose bound cannot beat the
-  * incumbent — usually after a handful of initializations instead of `n`.
+  * Every entry point takes the difference graph `G_D` (any graph) and
+  * searches its positive part `G_{D+}`, because the optimum is a positive
+  * clique (Thm 5). For every vertex `u`, `mu_u = tau_u * w_u / (tau_u + 1)`
+  * upper-bounds the affinity of any clique in `G_{D+}` containing `u` (Thm 6
+  * with the core number `tau_u` bounding the clique size and the ego-net
+  * maximum weight `w_u` bounding edge weights). Seeds are tried in
+  * descending `mu_u` order and the loop stops at the first seed whose bound
+  * cannot beat the incumbent — usually after a handful of initializations
+  * instead of `n`.
   */
 object NewSea {
 
@@ -27,28 +30,30 @@ object NewSea {
     */
   final case class MultiResult(best: AffinityResult, initsUsed: Int, errors: Int)
 
-  /** `mu_u` for every vertex of `gDp` (which must be the positive part). */
-  def smartBounds(gDp: WGraph): Array[Double] = {
+  /** `mu_u` for every vertex, from the core numbers and ego-net weights of `G_{D+}`. */
+  def smartBounds(g: WGraph): Array[Double] = {
+    val gDp = g.positivePart
     val tau = gDp.coreNumbers
     val w = gDp.egoNetMaxWeight
     Array.tabulate(gDp.n)(u => tau(u).toDouble * w(u) / (tau(u) + 1.0))
   }
 
-  /** Runs NewSEA on `G_{D+}`. */
-  def run(gDp: WGraph): MultiResult = {
-    val mu = smartBounds(gDp)
-    seedLoop(gDp, (0 until gDp.n).toArray.sortBy(u => -mu(u)), mu, useReplicator = false)._1
+  /** Runs NewSEA on `G_{D+}` of `g`. */
+  def run(g: WGraph): MultiResult = {
+    val mu = smartBounds(g)
+    seedLoop(g.positivePart, (0 until g.n).toArray.sortBy(u => -mu(u)), mu, useReplicator = false)._1
   }
 
   /** SEACD+Refine or SEA+Refine with an initialization at *every* vertex
-    * (the paper's exhaustive baselines): NewSEA's seed loop without the
-    * bound. Also returns the distinct positive cliques found, with
-    * subset-cliques removed — the raw material of Table V and Fig. 3.
+    * (the paper's exhaustive baselines): NewSEA's seed loop on `G_{D+}` of
+    * `g`, without the bound. Also returns the distinct positive cliques
+    * found, with subset-cliques removed — the raw material of Table V and
+    * Fig. 3.
     *
     * @param useReplicator  true for the original-SEA shrink (SEA+Refine)
     */
-  def allInits(gDp: WGraph, useReplicator: Boolean): (MultiResult, Seq[AffinityResult]) = {
-    val (best, found) = seedLoop(gDp, Array.range(0, gDp.n), Array.fill(gDp.n)(Double.PositiveInfinity), useReplicator)
+  def allInits(g: WGraph, useReplicator: Boolean): (MultiResult, Seq[AffinityResult]) = {
+    val (best, found) = seedLoop(g.positivePart, Array.range(0, g.n), Array.fill(g.n)(Double.PositiveInfinity), useReplicator)
     (best, dropSubsetCliques(found))
   }
 

@@ -3,39 +3,25 @@ package repro.core
 /** Refinement of a KKT point to a positive-clique solution (Algorithm 4,
   * constructive proof of Theorem 5).
   *
-  * Runs over `G_{D+}` (the state's graph must be the positive part): while
-  * the support is not a clique, merges a non-adjacent pair — at a (local)
-  * KKT point the two gradients are equal, so shifting all of `y_v`'s mass to
-  * `y_u` preserves the objective — and re-descends to a local KKT point on
-  * the shrunken support. The support strictly shrinks each round, so this
-  * terminates with `G_{D+}(S_y)` a clique and `f` non-decreased.
+  * While the support has a pair `(u, v)` with `D(u,v) <= 0` (on `G_{D+}`: a
+  * non-adjacent pair), moves all of `x_v`'s mass onto `u` and re-descends to
+  * a local KKT point on the shrunken support. At a KKT point the two
+  * gradients are equal, so the move changes `f` by `-2 x_v^2 D(u,v) >= 0`.
+  * The support strictly shrinks each round, so this terminates with the
+  * support a positive clique of the state's graph and `f` non-decreased.
   */
 object Refinement {
 
   /** Refines the state in place; returns the final (positive-clique) result. */
-  def run(st: AffinityState): AffinityResult = {
-    var done = false
-    while (!done) {
-      val sup = st.support.sorted
-      // find a non-adjacent pair in the support
-      var pu = -1; var pv = -1
-      var i = 0
-      while (pu == -1 && i < sup.length) {
-        var j = i + 1
-        while (pu == -1 && j < sup.length) {
-          if (!st.g.hasEdge(sup(i), sup(j))) { pu = sup(i); pv = sup(j) }
-          j += 1
-        }
-        i += 1
-      }
-      if (pu == -1) done = true // support is a clique in G_{D+}
-      else {
-        st.setX(pu, st.x(pu) + st.x(pv))
-        st.setX(pv, 0.0)
+  @annotation.tailrec
+  def run(st: AffinityState): AffinityResult =
+    st.g.nonPositivePair(st.support.sorted) match {
+      case None => st.result
+      case Some((u, v)) =>
+        st.setX(u, st.x(u) + st.x(v))
+        st.setX(v, 0.0)
         val allowed = st.support
         CoordinateDescent.descend(st, allowed, CoordinateDescent.epsFor(allowed.length))
-      }
+        run(st)
     }
-    st.result
-  }
 }

@@ -4,12 +4,13 @@ package repro.core
   * plus the same Expansion operation — the paper's "SEA+Refine" baseline.
   *
   * The replicator update `x_i <- x_i (Dx)_i / (x^T D x)` requires a
-  * non-negative matrix, so this runs on `G_{D+}` only. Following Section VI-A,
-  * the shrink stage stops when the objective improves by less than
-  * `shrinkTol = 1e-6` per iteration — a condition the paper shows is *not*
-  * sufficient to reach a local KKT point, so the subsequent expansion can
-  * *decrease* the objective. Such events are counted as expansion errors
-  * (Table VII's "#Errors in SEA").
+  * non-negative matrix, so the state's graph must be `G_{D+}`; that is the
+  * graph `NewSea.allInits` gives its states, whatever graph it is given.
+  * Following Section VI-A, the shrink stage stops when the objective
+  * improves by less than `shrinkTol = 1e-6` per iteration — a condition the
+  * paper shows is *not* sufficient to reach a local KKT point, so the
+  * subsequent expansion can *decrease* the objective. Such events are
+  * counted as expansion errors (Table VII's "#Errors in SEA").
   */
 object ReplicatorSea {
 

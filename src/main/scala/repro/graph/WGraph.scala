@@ -82,9 +82,6 @@ final class WGraph private (
     0.0
   }
 
-  /** Whether `(u, v)` is an edge (stored weights are never 0). */
-  def hasEdge(u: Int, v: Int): Boolean = weight(u, v) != 0.0
-
   /** Total degree `W(S)` of the induced subgraph `G(S)` — both orientations
     * of each edge counted, per the paper's convention (see [[totalWeight]]).
     */
@@ -116,18 +113,22 @@ final class WGraph private (
   }
 
   /** Whether `G(S)` is a clique with all edge weights strictly positive. */
-  def isPositiveClique(s: Iterable[Int]): Boolean = {
-    val vs = s.toArray
+  def isPositiveClique(s: Iterable[Int]): Boolean = nonPositivePair(s.toArray).isEmpty
+
+  /** The first pair `(vs(i), vs(j))`, `i < j`, of weight `<= 0` (absent
+    * edges weigh 0), in `(i, j)` order; `None` if `vs` is a positive clique.
+    */
+  def nonPositivePair(vs: Array[Int]): Option[(Int, Int)] = {
     var i = 0
     while (i < vs.length) {
       var j = i + 1
       while (j < vs.length) {
-        if (weight(vs(i), vs(j)) <= 0.0) return false
+        if (weight(vs(i), vs(j)) <= 0.0) return Some((vs(i), vs(j)))
         j += 1
       }
       i += 1
     }
-    true
+    None
   }
 
   /** Connected components of the induced subgraph `G(S)`, as vertex lists. */
@@ -152,21 +153,26 @@ final class WGraph private (
   }
 
   /** The graph keeping only edges with strictly positive weight (`G_{D+}`),
-    * built on first use and shared by every caller.
+    * built on first use and shared by every caller; `this` when every weight
+    * is already positive, so `positivePart.positivePart eq positivePart`.
     */
   lazy val positivePart: WGraph = {
-    // filtering the sorted segments in order keeps each one sorted
-    val pOffsets = new Array[Int](n + 1)
-    val pNbrs = new Array[Int](wts.count(_ > 0.0))
-    val pWts = new Array[Double](pNbrs.length)
-    var k = 0
-    var u = 0
-    while (u < n) {
-      foreachNbr(u) { (v, w) => if (w > 0.0) { pNbrs(k) = v; pWts(k) = w; k += 1 } }
-      u += 1
-      pOffsets(u) = k
+    val m = wts.count(_ > 0.0)
+    if (m == wts.length) this
+    else {
+      // filtering the sorted segments in order keeps each one sorted
+      val pOffsets = new Array[Int](n + 1)
+      val pNbrs = new Array[Int](m)
+      val pWts = new Array[Double](m)
+      var k = 0
+      var u = 0
+      while (u < n) {
+        foreachNbr(u) { (v, w) => if (w > 0.0) { pNbrs(k) = v; pWts(k) = w; k += 1 } }
+        u += 1
+        pOffsets(u) = k
+      }
+      new WGraph(n, pOffsets, pNbrs, pWts)
     }
-    new WGraph(n, pOffsets, pNbrs, pWts)
   }
 
   /** A new graph with every edge weight negated (Emerging <-> Disappearing). */
@@ -253,29 +259,29 @@ object WGraph {
 
   /** Builds a graph from one record per undirected edge.
     *
-    * Requires `0 <= us(i), vs(i) < n` and `us(i) != vs(i)`; duplicate pairs
-    * (in either orientation) are rejected, as are NaN and infinite weights.
-    * Zero-weight edges are dropped.
+    * Every record must have `0 <= us(i), vs(i) < n` and `us(i) != vs(i)`,
+    * whatever its weight; duplicate pairs (in either orientation) are
+    * rejected, as are NaN and infinite weights. Zero-weight edges are then
+    * dropped.
     */
   def fromEdges(n: Int, us: Array[Int], vs: Array[Int], ws: Array[Double]): WGraph = {
     require(us.length == vs.length && vs.length == ws.length, "parallel edge arrays")
-    val keep = (0 until us.length).filter(i => ws(i) != 0.0)
     val deg = new Array[Int](n)
-    keep.foreach { i =>
+    for (i <- us.indices) {
       require(us(i) != vs(i), s"self loop at ${us(i)}")
       require(ws(i).isFinite, s"weight ${ws(i)} of (${us(i)}, ${vs(i)}) is not finite")
       require(us(i) >= 0 && us(i) < n, s"vertex id ${us(i)} outside [0, $n)")
       require(vs(i) >= 0 && vs(i) < n, s"vertex id ${vs(i)} outside [0, $n)")
-      deg(us(i)) += 1; deg(vs(i)) += 1
+      if (ws(i) != 0.0) { deg(us(i)) += 1; deg(vs(i)) += 1 }
     }
     val offsets = new Array[Int](n + 1)
     var u = 0
     while (u < n) { offsets(u + 1) = offsets(u) + deg(u); u += 1 }
     val fill = offsets.clone()
-    val nbrs = new Array[Int](keep.length * 2)
-    val wts = new Array[Double](keep.length * 2)
-    keep.foreach { i =>
-      val (a, b, w) = (us(i), vs(i), ws(i))
+    val nbrs = new Array[Int](offsets(n))
+    val wts = new Array[Double](offsets(n))
+    for (i <- us.indices if ws(i) != 0.0) {
+      val a = us(i); val b = vs(i); val w = ws(i)
       nbrs(fill(a)) = b; wts(fill(a)) = w; fill(a) += 1
       nbrs(fill(b)) = a; wts(fill(b)) = w; fill(b) += 1
     }

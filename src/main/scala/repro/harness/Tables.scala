@@ -56,7 +56,7 @@ object Tables {
     sets.filter(_.data == "DBLP").flatMap { ds =>
       val g = ds.wg
       val ad = DCSGreedy.run(g)
-      val ga = NewSea.run(g.positivePart)
+      val ga = NewSea.run(g)
       val gaSet = ga.best.supportSet.toSeq
       Seq(
         GroupRow(ds.setting, ds.gdType, "AvgDegree",
@@ -104,12 +104,12 @@ object Tables {
   )
 
   def tableV_VI(sets: Seq[DiffSet]): TopicTables = {
-    def gDp(key: String) = sets.find(_.key == key).get.wg.positivePart
+    def gD(key: String) = sets.find(_.key == key).get.wg
     val dm = sets.find(_.data == "DM").get.in
     def single(g: DataFrame) = DiffGraph.toWGraph(DiffGraph.canonicalize(g), dm.n)
     TopicTables(
-      emerging = topTopics(gDp("DM/-/Emerging"), dm.label, 5),
-      disappearing = topTopics(gDp("DM/-/Disappearing"), dm.label, 5),
+      emerging = topTopics(gD("DM/-/Emerging"), dm.label, 5),
+      disappearing = topTopics(gD("DM/-/Disappearing"), dm.label, 5),
       g1Top = topTopics(single(dm.g1), dm.label, 5),
       g2Top = topTopics(single(dm.g2), dm.label, 5),
     )
@@ -132,16 +132,16 @@ object Tables {
 
   def tableVII(sets: Seq[DiffSet]): Seq[TimingRow] =
     sets.map { ds =>
-      val gp = ds.wg.positivePart
+      val g = ds.wg
       // best-of-two to shield the (fast) NewSEA measurement from GC noise
       // left behind by other suites
-      val (smart, tNew1) = ms(NewSea.run(gp))
-      val (_, tNew2) = ms(NewSea.run(gp))
+      val (smart, tNew1) = ms(NewSea.run(g))
+      val (_, tNew2) = ms(NewSea.run(g))
       val tNew = math.min(tNew1, tNew2)
       Console.err.println(f"[tableVII] ${ds.key}: NewSEA ${tNew}%.0fms (${smart.initsUsed} inits)")
-      val (cd, tCd) = ms(NewSea.allInits(gp, useReplicator = false))
+      val (cd, tCd) = ms(NewSea.allInits(g, useReplicator = false))
       Console.err.println(f"[tableVII] ${ds.key}: SEACD+Refine ${tCd}%.0fms")
-      val (sea, tSea) = ms(NewSea.allInits(gp, useReplicator = true))
+      val (sea, tSea) = ms(NewSea.allInits(g, useReplicator = true))
       Console.err.println(f"[tableVII] ${ds.key}: SEA+Refine ${tSea}%.0fms (${sea._1.errors} errors)")
       TimingRow(ds.key, tNew, smart.initsUsed, smart.best.f, tCd, cd._1.best.f, tSea, sea._1.best.f, sea._1.errors)
     }
@@ -168,7 +168,7 @@ object Tables {
       val g = ds.wg
       val ego = EgoScan.run(g)
       val dcs = DCSGreedy.run(g)
-      val ga = NewSea.run(g.positivePart)
+      val ga = NewSea.run(g)
       EgoRow(ds.setting, ds.gdType,
         ego.s.length, g.inducedEdgeCount(ego.s.toSeq), g.isPositiveClique(ego.s.toSeq),
         g.density(ego.s.toSeq), g.edgeDensity(ego.s.toSeq),
@@ -210,7 +210,7 @@ object Tables {
   /** Tables X/XIII/XIV machinery: the affinity DCS of one configuration. */
   def dcsgaRow(ds: DiffSet): GaRow = {
     val g = ds.wg
-    val r = NewSea.run(g.positivePart)
+    val r = NewSea.run(g)
     val s = r.best.supportSet.toSeq
     GaRow(ds.key, s.length, r.best.f, g.edgeDensity(s))
   }

@@ -24,7 +24,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("DBLP Weighted Emerging: NewSEA finds UTA-ML too (Table IV)") {
-    val r = NewSea.run(gD.positivePart)
+    val r = NewSea.run(gD)
     assert(r.best.supportSet.toSeq == dblp.planted("UTA-ML"))
     assert(r.best.f > 20.0 && r.best.f < 24.0, s"f=${r.best.f}") // paper: 23.167
     assert(r.errors == 0)
@@ -37,7 +37,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("DBLP Weighted Disappearing: NewSEA finds Japan Robotics 2 with f = 50") {
-    val r = NewSea.run(gD.negated.positivePart)
+    val r = NewSea.run(gD.negated)
     assert(r.best.supportSet.toSeq == dblp.planted("Robotics2"))
     assert(math.abs(r.best.f - 50.0) < 1e-6)
   }
@@ -46,7 +46,7 @@ class IntegrationSpec extends SparkSpec {
     val ad = DCSGreedy.run(gDdisc)
     assert(ad.s.toSeq == dblp.planted("CMU"), s"got ${ad.s.toSeq}")
     assert(math.abs(ad.density - 12.0) < 1e-9)
-    val ga = NewSea.run(gDdisc.positivePart)
+    val ga = NewSea.run(gDdisc)
     assert(ga.best.supportSet.toSeq == dblp.planted("CMU"))
     assert(math.abs(ga.best.f - 12.0 / 7.0) < 1e-3)
   }
@@ -54,19 +54,18 @@ class IntegrationSpec extends SparkSpec {
   test("DBLP Discrete Disappearing: Compiler group under avg degree, Robotics 3 under affinity") {
     val ad = DCSGreedy.run(gDdisc.negated)
     assert(ad.s.toSeq == dblp.planted("Compiler"), s"got ${ad.s.toSeq}")
-    val ga = NewSea.run(gDdisc.negated.positivePart)
+    val ga = NewSea.run(gDdisc.negated)
     assert(ga.best.supportSet.toSeq == dblp.planted("Robotics3"), s"got ${ga.best.supportSet.toSeq}")
     assert(math.abs(ga.best.f - 2.0 * 21 * 2 / 49) < 1e-3) // 7-clique of weight 2: 1.714
   }
 
   test("all three DCSGA variants find the same DBLP groups (paper: 'all algorithms find the same group')") {
-    val gp = gD.positivePart
-    val smart = NewSea.run(gp)
-    val (cdAll, _) = NewSea.allInits(gp, useReplicator = false)
-    val (seaAll, _) = NewSea.allInits(gp, useReplicator = true)
+    val smart = NewSea.run(gD)
+    val (cdAll, _) = NewSea.allInits(gD, useReplicator = false)
+    val (seaAll, _) = NewSea.allInits(gD, useReplicator = true)
     assert(math.abs(smart.best.f - cdAll.best.f) < 1e-6)
     assert(seaAll.best.f >= smart.best.f - 1e-3, "replicator SEA should match here")
-    assert(smart.initsUsed < gp.n / 10, s"smart inits ${smart.initsUsed} vs n=${gp.n}")
+    assert(smart.initsUsed < gD.n / 10, s"smart inits ${smart.initsUsed} vs n=${gD.n}")
   }
 
   test("EgoScan finds a bigger, heavier, less dense subgraph than DCS (Tables VIII/IX)") {
@@ -81,11 +80,11 @@ class IntegrationSpec extends SparkSpec {
   test("DM: emerging topic is {social, networks} at f = 0.994 (Table V)") {
     val dm = SynthGraphs.dm(spark, n = 600, bgPairs = 5000)
     val g = DiffGraph.toWGraph(emerging(dm), dm.n)
-    val r = NewSea.run(g.positivePart)
+    val r = NewSea.run(g)
     assert(r.best.supportSet.toSeq.map(dm.label).sorted == Seq("networks", "social"))
     assert(math.abs(r.best.f - 0.994) < 1e-3)
     // disappearing: {mining, association, rules}
-    val d = NewSea.run(g.negated.positivePart)
+    val d = NewSea.run(g.negated)
     assert(d.best.supportSet.toSeq.map(dm.label).sorted == Seq("association", "mining", "rules"),
       s"got ${d.best.supportSet.toSeq.map(dm.label).toSeq}")
     assert(d.best.f > 2.5 && d.best.f < 3.5, s"f=${d.best.f}")
@@ -94,10 +93,10 @@ class IntegrationSpec extends SparkSpec {
   test("Douban Movie: affinity optima are the planted cliques with Motzkin-Straus values") {
     val mv = SynthGraphs.douban(spark, "Movie", n = 2000)
     val g = DiffGraph.toWGraph(emerging(mv), mv.n)
-    val is = NewSea.run(g.positivePart)
+    val is = NewSea.run(g)
     assert(is.best.supportSet.toSeq == mv.planted("InterestClique"))
     assert(math.abs(is.best.f - (1.0 - 1.0 / 32)) < 1e-3, s"f=${is.best.f}") // 0.969
-    val si = NewSea.run(g.negated.positivePart)
+    val si = NewSea.run(g.negated)
     assert(si.best.supportSet.toSeq == mv.planted("SocialClique"))
     assert(math.abs(si.best.f - (1.0 - 1.0 / 18)) < 1e-3, s"f=${si.best.f}") // 0.944
   }

@@ -22,15 +22,18 @@ class RefinementSpec extends AnyFunSuite {
   }
 
   test("returned support is always a positive clique (Thm 5)") {
-    for (seed <- 1 to 25) {
-      val g = TestKit.randomPositive(14, 0.35, 2.0, seed).positivePart
+    // states on G_{D+}, plus one on a signed G_D whose SEACD support holds
+    // a pair joined by a negative edge
+    val positive = (1 to 25).map(seed => (s"seed=$seed", TestKit.randomPositive(14, 0.35, 2.0, seed).positivePart, seed % 14))
+    val inputs = positive :+ (("signed", TestKit.randomDiscrete(12, 0.6, 0.6, 5), 2))
+    for ((what, g, u) <- inputs) {
       val st = new AffinityState(g)
-      st.initAt(seed % 14)
+      st.initAt(u)
       Seacd.run(st)
       val before = st.f
       val r = Refinement.run(st)
-      assert(g.isPositiveClique(r.supportSet.toSeq), s"seed=$seed support=${r.supportSet.toSeq}")
-      assert(r.f >= before - 1e-6, s"seed=$seed refinement must not decrease f")
+      assert(g.isPositiveClique(r.supportSet.toSeq), s"$what support=${r.supportSet.toSeq}")
+      assert(r.f >= before - 1e-9, s"$what refinement must not decrease f")
     }
   }
 

@@ -16,11 +16,14 @@ class WGraphSpec extends AnyFunSuite {
   test("zero-weight edges are dropped at construction") {
     val g = WGraph(3, Seq((0, 1, 0.0), (1, 2, 5.0)))
     assert(g.numEdges == 1)
-    assert(!g.hasEdge(0, 1))
+    assert(g.weight(0, 1) == 0.0)
   }
 
   test("self loops are rejected") {
-    intercept[IllegalArgumentException] { WGraph(2, Seq((1, 1, 1.0))) }
+    for (w <- Seq(1.0, 0.0)) {
+      val e = intercept[IllegalArgumentException] { WGraph(2, Seq((1, 1, w))) }
+      assert(e.getMessage.contains("self loop at 1"), e.getMessage)
+    }
   }
 
   test("duplicate pairs are rejected in either orientation") {
@@ -38,7 +41,7 @@ class WGraphSpec extends AnyFunSuite {
   }
 
   test("vertex ids outside [0, n) are rejected, naming the id") {
-    for (bad <- Seq(4, -1); edge <- Seq((bad, 1, 1.0), (1, bad, 1.0))) {
+    for (bad <- Seq(4, -1); w <- Seq(1.0, 0.0); edge <- Seq((bad, 1, w), (1, bad, w))) {
       val e = intercept[IllegalArgumentException] { WGraph(4, Seq((0, 1, 1.0), edge)) }
       assert(e.getMessage.contains(s"vertex id $bad outside [0, 4)"), e.getMessage)
     }
@@ -50,11 +53,6 @@ class WGraphSpec extends AnyFunSuite {
     assert(signed.weight(1, 2) == -1.0)
     assert(signed.weight(0, 4) == 0.0)
     assert(signed.weight(0, 0) == 0.0)
-  }
-
-  test("hasEdge matches weight != 0") {
-    for (u <- 0 until 5; v <- 0 until 5)
-      assert(signed.hasEdge(u, v) == (signed.weight(u, v) != 0.0), s"($u,$v)")
   }
 
   test("weightedDegree sums incident weights including negatives") {
@@ -113,7 +111,7 @@ class WGraphSpec extends AnyFunSuite {
     val p = signed.positivePart
     assert(p.numEdges == 2)
     assert(p.weight(0, 1) == 2.0 && p.weight(3, 4) == 4.0)
-    assert(!p.hasEdge(1, 2))
+    assert(p.weight(1, 2) == 0.0)
     assert(signed.positivePart eq p, "G_{D+} is built once per graph")
   }
 

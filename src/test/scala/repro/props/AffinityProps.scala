@@ -108,6 +108,31 @@ object AffinityProps extends Properties("DCSGA") {
       math.abs(smart.best.f - all.best.f) < 1e-6 && smart.initsUsed <= g.n
     }
 
+  /** Signed and +-1 difference graphs, with all-positive ones among them. */
+  private val genDiff = Gen.oneOf(genSigned, for {
+    n <- Gen.choose(3, 14)
+    p <- Gen.choose(0.2, 0.7)
+    pPos <- Gen.choose(0.3, 1.0)
+    seed <- Gen.choose(0L, 100000L)
+  } yield TestKit.randomDiscrete(n, p, pPos, seed))
+
+  property("DCSGA on G_D equals DCSGA on G_{D+}") =
+    Prop.forAll(genDiff, genPositive) { (g, pos) =>
+      val gp = g.positivePart
+      def sameResult(a: AffinityResult, b: AffinityResult) =
+        a.embedding.sameElements(b.embedding) && sameBits(Array(a.f), Array(b.f))
+      def same(a: NewSea.MultiResult, b: NewSea.MultiResult) =
+        sameResult(a.best, b.best) && a.initsUsed == b.initsUsed && a.errors == b.errors
+      val sameAllInits = Seq(false, true).forall { useReplicator =>
+        val (a, as) = NewSea.allInits(g, useReplicator)
+        val (b, bs) = NewSea.allInits(gp, useReplicator)
+        same(a, b) && as.length == bs.length && as.zip(bs).forall { case (x, y) => sameResult(x, y) }
+      }
+      same(NewSea.run(g), NewSea.run(gp)) && sameAllInits &&
+        NewSea.smartBounds(g).sameElements(NewSea.smartBounds(gp)) &&
+        (gp.positivePart eq gp) && (pos.positivePart eq pos)
+    }
+
   property("result embedding weights sum to ~1 with positive entries") =
     Prop.forAll(genPositive, Gen.choose(0, 13)) { (g, seed) =>
       val st = new AffinityState(g)
