@@ -15,21 +15,21 @@ class AppendixBench extends SparkSpec {
 
   private def ds(key: String) = BenchData.byKey(key)
 
-  private lazy val wikiGa = Seq("Wiki/-/Consistent", "Wiki/-/Conflicting").map(k => Tables.dcsgaRow(ds(k)))
-  private lazy val wikiAd = Seq("Wiki/-/Consistent", "Wiki/-/Conflicting").flatMap(k => Tables.dcsadComparison(ds(k)))
+  private lazy val wikiGa = Seq("Wiki/-/Consistent", "Wiki/-/Conflicting").map(k => Tables.dcsga(ds(k)))
+  private lazy val wikiAd = Seq("Wiki/-/Consistent", "Wiki/-/Conflicting").flatMap(k => Tables.dcsad(ds(k)))
   private lazy val doubanKeys = Seq("Movie/-/Interest-Social", "Movie/-/Social-Interest",
     "Book/-/Interest-Social", "Book/-/Social-Interest")
-  private lazy val doubanAd = doubanKeys.flatMap(k => Tables.dcsadComparison(ds(k)))
-  private lazy val doubanGa = doubanKeys.map(k => Tables.dcsgaRow(ds(k)))
+  private lazy val doubanAd = doubanKeys.flatMap(k => Tables.dcsad(ds(k)))
+  private lazy val doubanGa = doubanKeys.map(k => Tables.dcsga(ds(k)))
   private lazy val bigGa = Seq("DBLP-C/Weighted/-", "DBLP-C/Discrete/-",
-    "Actor/Weighted/-", "Actor/Discrete/-").map(k => Tables.dcsgaRow(ds(k)))
+    "Actor/Weighted/-", "Actor/Discrete/-").map(k => Tables.dcsga(ds(k)))
 
   test("print appendix tables") {
-    println("==== Table X (Wiki DCSGA) ====");    println(Tables.renderGa(wikiGa))
-    println("==== Table XI (Wiki DCSAD) ====");   println(Tables.renderAd(wikiAd))
-    println("==== Table XII (Douban DCSAD) ===="); println(Tables.renderAd(doubanAd))
-    println("==== Table XIII (Douban DCSGA) ===="); println(Tables.renderGa(doubanGa))
-    println("==== Table XIV (DBLP-C / Actor DCSGA) ===="); println(Tables.renderGa(bigGa))
+    println("==== Table X (Wiki DCSGA) ====");    println(Tables.render(wikiGa))
+    println("==== Table XI (Wiki DCSAD) ====");   println(Tables.render(wikiAd))
+    println("==== Table XII (Douban DCSAD) ===="); println(Tables.render(doubanAd))
+    println("==== Table XIII (Douban DCSGA) ===="); println(Tables.render(doubanGa))
+    println("==== Table XIV (DBLP-C / Actor DCSGA) ===="); println(Tables.render(bigGa))
   }
 
   test("Table X: Wiki affinity groups are small (paper: 5 and 6 users, f 6.9 / 6.46)") {
@@ -41,24 +41,24 @@ class AppendixBench extends SparkSpec {
   }
 
   test("Table XI: Wiki avg-degree groups are large non-cliques, consistent denser than conflicting") {
-    val cons = wikiAd.find(r => r.key.contains("Consistent") && r.algo == "DCSGreedy").get
-    val conf = wikiAd.find(r => r.key.contains("Conflicting") && r.algo == "DCSGreedy").get
+    val cons = wikiAd.find(r => r.ds.key.contains("Consistent") && r.algo == "DCSGreedy").get
+    val conf = wikiAd.find(r => r.ds.key.contains("Conflicting") && r.algo == "DCSGreedy").get
     assert(cons.size > 30 && conf.size > 20, s"${cons.size}/${conf.size} (paper: 937/222)")
     assert(!cons.positiveClique && !conf.positiveClique)
-    assert(cons.avgDegree > conf.avgDegree, "paper: 398.71 > 335.03")
+    assert(cons.rho > conf.rho, "paper: 398.71 > 335.03")
     assert(cons.size > conf.size, "paper: 937 > 222")
     assert(cons.ratio < 4.0 && conf.ratio < 4.0, "paper: 2.13 / 2.06")
   }
 
   test("Table XII: Douban avg-degree groups are big non-cliques; Movie I-S denser, Book S-I denser") {
     val rows = doubanAd.filter(_.algo == "DCSGreedy")
-    rows.foreach { r => assert(r.size > 50 && !r.positiveClique, s"${r.key}: ${r.size}") }
-    val mvIS = rows.find(_.key.startsWith("Movie/-/Interest")).get
-    val mvSI = rows.find(_.key.startsWith("Movie/-/Social")).get
-    val bkIS = rows.find(_.key.startsWith("Book/-/Interest")).get
-    val bkSI = rows.find(_.key.startsWith("Book/-/Social")).get
-    assert(mvIS.avgDegree > mvSI.avgDegree, "paper: Movie 176 > 68")
-    assert(bkSI.avgDegree > bkIS.avgDegree, "paper: Book 71 > 43")
+    rows.foreach { r => assert(r.size > 50 && !r.positiveClique, s"${r.ds.key}: ${r.size}") }
+    val mvIS = rows.find(_.ds.key.startsWith("Movie/-/Interest")).get
+    val mvSI = rows.find(_.ds.key.startsWith("Movie/-/Social")).get
+    val bkIS = rows.find(_.ds.key.startsWith("Book/-/Interest")).get
+    val bkSI = rows.find(_.ds.key.startsWith("Book/-/Social")).get
+    assert(mvIS.rho > mvSI.rho, "paper: Movie 176 > 68")
+    assert(bkSI.rho > bkIS.rho, "paper: Book 71 > 43")
   }
 
   test("Table XIII: Douban affinity groups match Motzkin-Straus exactly") {
@@ -69,9 +69,9 @@ class AppendixBench extends SparkSpec {
       "Book/-/Social-Interest" -> (22, 1.0 - 1.0 / 22),
     )
     doubanGa.foreach { r =>
-      val (k, f) = expected(r.key)
-      assert(r.size == k, s"${r.key}: size ${r.size} (paper: $k)")
-      assert(math.abs(r.f - f) < 1e-3, s"${r.key}: f ${r.f} (paper: $f)")
+      val (k, f) = expected(r.ds.key)
+      assert(r.size == k, s"${r.ds.key}: size ${r.size} (paper: $k)")
+      assert(math.abs(r.f - f) < 1e-3, s"${r.ds.key}: f ${r.f} (paper: $f)")
     }
   }
 

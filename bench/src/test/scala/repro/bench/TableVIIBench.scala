@@ -46,8 +46,9 @@ class TableVIIBench extends SparkSpec {
   }
 
   test("coordinate-descent variants never make expansion errors; SEA does somewhere") {
-    // NewSEA and SEACD+Refine errors are asserted inside the run (Trace);
-    // here we check the replicator baseline tripped at least once overall
+    rows.foreach { r =>
+      assert(r.newSeaErrors == 0 && r.seacdErrors == 0, s"${r.key}: NewSEA ${r.newSeaErrors}, SEACD ${r.seacdErrors} errors")
+    }
     val seaErrors = rows.map(_.seaErrors).sum
     assert(seaErrors > 0, s"expected the loose shrink convergence to cause expansion errors (paper: up to 4419)")
   }

@@ -13,38 +13,40 @@ import repro.harness.Tables
   */
 class TableVIII_IXBench extends SparkSpec {
 
-  private lazy val rows = Tables.tableVIII_IX(BenchData.sets)
-  private lazy val iv = Tables.tableIII_IV(BenchData.sets)
+  private lazy val rows = BenchData.sets.filter(_.data == "DBLP")
+    .flatMap(ds => Tables.egoScan(ds) +: Tables.dcsad(ds) :+ Tables.dcsga(ds))
+  private lazy val ego = rows.filter(_.algo == "EgoScan")
+  private def row(key: String, algo: String) = rows.find(r => r.ds.key == key && r.algo == algo).get
 
   test("print Tables VIII and IX") {
     println("==== Tables VIII / IX (ours, bench scale) ====")
-    println(Tables.renderVIII_IX(rows))
+    println(Tables.render(rows))
   }
 
   test("EgoScan subgraphs are large and never positive cliques (Table VIII)") {
-    rows.foreach { r =>
-      assert(r.size >= 20, s"${r.setting}/${r.gdType}: size ${r.size} (paper: 44-82)")
+    ego.foreach { r =>
+      assert(r.size >= 20, s"${r.ds.key}: size ${r.size} (paper: 44-82)")
       assert(!r.positiveClique)
     }
   }
 
   test("EgoScan has much lower density difference than DCSGreedy (Table VIII vs IV)") {
-    rows.foreach { r =>
-      val dcs = iv.find(x => x.setting == r.setting && x.gdType == r.gdType && x.measure == "AvgDegree").get
-      assert(r.avgDegreeDiff < dcs.avgDegreeDiff,
-        s"${r.setting}/${r.gdType}: ego rho ${r.avgDegreeDiff} vs DCS rho ${dcs.avgDegreeDiff}")
-      assert(r.edgeDensityDiff < dcs.edgeDensityDiff)
+    ego.foreach { r =>
+      val dcs = row(r.ds.key, "DCSGreedy")
+      assert(r.rho < dcs.rho, s"${r.ds.key}: ego rho ${r.rho} vs DCS rho ${dcs.rho}")
+      assert(r.edgeDensity < dcs.edgeDensity)
     }
   }
 
   test("EgoScan wins on total edge-weight difference (Table IX)") {
-    rows.foreach { r =>
-      assert(r.wEgo >= r.wDcsGreedy, s"${r.setting}/${r.gdType}: ego ${r.wEgo} vs greedy ${r.wDcsGreedy}")
-      assert(r.wEgo >= r.wNewSea, s"${r.setting}/${r.gdType}: ego ${r.wEgo} vs newsea ${r.wNewSea}")
+    ego.foreach { r =>
+      val (dcs, ga) = (row(r.ds.key, "DCSGreedy"), row(r.ds.key, "NewSEA"))
+      assert(r.w >= dcs.w, s"${r.ds.key}: ego ${r.w} vs greedy ${dcs.w}")
+      assert(r.w >= ga.w, s"${r.ds.key}: ego ${r.w} vs newsea ${ga.w}")
     }
   }
 
   test("NewSEA total weight never exceeds DCSGreedy's on the same graph (small cliques)") {
-    rows.foreach(r => assert(r.wNewSea <= r.wDcsGreedy + 1e-9, s"${r.setting}/${r.gdType}"))
+    ego.foreach(r => assert(row(r.ds.key, "NewSEA").w <= row(r.ds.key, "DCSGreedy").w + 1e-9, r.ds.key))
   }
 }

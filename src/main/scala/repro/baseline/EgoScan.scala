@@ -51,9 +51,10 @@ object EgoScan {
     // 2-hop ego net of the seed: the candidate universe for this scan
     val allowed = new Array[Boolean](gD.n)
     allowed(seed) = true
-    gD.foreachNbr(seed) { (v, _) => allowed(v) = true }
-    val oneHop = (0 until gD.n).filter(allowed)
-    oneHop.foreach(u => gD.foreachNbr(u) { (v, _) => allowed(v) = true })
+    gD.foreachNbr(seed) { (v, _) =>
+      allowed(v) = true
+      gD.foreachNbr(v) { (x, _) => allowed(x) = true }
+    }
 
     // x is the 0/1 indicator of S, so dx(u) = sum of D(u,v) over v in S: the
     // gain of adding u, or the loss of removing it

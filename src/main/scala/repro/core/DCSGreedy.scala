@@ -15,9 +15,15 @@ import scala.concurrent.{Await, ExecutionContext, Future}
   * @param winner   the candidate that won line 7
   * @param split    whether the winner was disconnected in `G_D`, so that
   *                 lines 8-9 replaced it by its densest component
+  * @param candidates line 7's list, in the order it was scored: the heaviest
+  *                 positive edge (`MaxEdge`), `Greedy(G_D)`'s set (`PeelGD`)
+  *                 and `Greedy(G_{D+})`'s set (`PeelGDPlus`), each as its
+  *                 generator returned it; `Seq(s -> SingleVertex)` when `G_D`
+  *                 has no positive edge
   */
 final case class DCSResult(s: Array[Int], density: Double, ratio: Double,
-                           winner: DCSGreedy.Candidate, split: Boolean)
+                           winner: DCSGreedy.Candidate, split: Boolean,
+                           candidates: Seq[(Array[Int], DCSGreedy.Candidate)])
 
 /** DCSGreedy (Algorithm 2): the `O(n)`-approximation for DCS w.r.t. average
   * degree on a difference graph with signed edge weights.
@@ -52,7 +58,8 @@ object DCSGreedy {
     }
     if (bu == -1 || bw <= 0.0) {
       // no positive-weight edge: any single vertex is optimal (density 0)
-      return DCSResult(if (gD.n > 0) Array(0) else Array.empty, 0.0, 1.0, SingleVertex, split = false)
+      val s = if (gD.n > 0) Array(0) else Array.empty[Int]
+      return DCSResult(s, 0.0, 1.0, SingleVertex, split = false, Seq(s -> SingleVertex))
     }
 
     val gDp = gD.positivePart
@@ -62,8 +69,8 @@ object DCSGreedy {
 
     // line 7: all candidates scored by density in G_D; maxBy keeps the
     // first of equally dense candidates
-    val (cand, winner) = Seq(Array(bu, bv) -> MaxEdge, s1 -> PeelGD, s2 -> PeelGDPlus)
-      .maxBy { case (c, _) => gD.density(c) }
+    val candidates = Seq(Array(bu, bv) -> MaxEdge, s1 -> PeelGD, s2 -> PeelGDPlus)
+    val (cand, winner) = candidates.maxBy { case (c, _) => gD.density(c) }
 
     // lines 8-9: keep the densest connected component of G_D(S)
     val comps = gD.componentsOf(cand)
@@ -72,6 +79,6 @@ object DCSGreedy {
     val rho = gD.density(s)
 
     val ratio = 2.0 * gDp.density(s2) / rho
-    DCSResult(s.sorted, rho, ratio, winner, split)
+    DCSResult(s.sorted, rho, ratio, winner, split, candidates)
   }
 }

@@ -79,11 +79,14 @@ object SynthGraphs {
     * iid U[0,1) to build weight expressions from). Self-pairs are dropped and
     * duplicates collapsed to their lowest-`id` draw, so the realized count is
     * slightly below `count`. The `u`s depend on `id` alone, so they are
-    * hashed for the kept draw only.
+    * hashed for the kept draw only. Throws `IllegalArgumentException` unless
+    * `n > lo`: an empty or negative id range would only fail, or yield ids
+    * `>= n`, once an action runs.
     */
   private def background(spark: SparkSession, count: Long, lo: Int, n: Int, seed: Long)(
       wExpr: (Column, Column, Column) => (Column, Column)
   ): DataFrame = {
+    require(n > lo, s"background ids [lo, n) are empty: n = $n must exceed lo = $lo")
     val range = (n - lo).toLong
     def hash(salt: Int) = xxhash64(col("id"), lit(seed + salt))
     def u(salt: Int) = pmod(hash(salt), lit(1000000L)).cast("double") / 1000000.0

@@ -7,9 +7,10 @@ import repro.graph.{DiffGraph, GraphStats, WGraph}
 
 /** Computations behind every table of the paper's evaluation section.
   *
-  * Each `tableXX` method returns structured rows (asserted by the bench
-  * suites) plus a `render` helper that prints them side by side with the
-  * paper's published numbers (recorded in EXPERIMENTS.md).
+  * Each table's builder returns structured rows (asserted by the bench
+  * suites), and a `render` helper prints them; the paper's published numbers
+  * are recorded next to ours in EXPERIMENTS.md. Every table that reports
+  * found subgraphs (III/IV, VIII/IX, X-XIV) reads [[Found]] rows.
   */
 object Tables {
 
@@ -32,59 +33,78 @@ object Tables {
     (header +: body).mkString("\n")
   }
 
-  // ------------------------------------------------------- Tables III / IV
+  // ----------------------------------- Tables III / IV, VIII / IX, X - XIV
 
-  /** One row of Table IV: a mined co-author group under one configuration. */
-  final case class GroupRow(
-      setting: String,
-      gdType: String,
-      measure: String, // "AvgDegree" | "Affinity"
-      groupName: String, // matched planted group, or "?"
-      members: Seq[(String, Double)], // (author, simplex weight); weight = NaN for AvgDegree
-      size: Int,
-      positiveClique: Boolean,
-      avgDegreeDiff: Double,
-      approxRatio: Double, // NaN for Affinity
-      affinityDiff: Double, // NaN for AvgDegree
-      edgeDensityDiff: Double,
-  )
-
-  private def matchPlanted(planted: Map[String, Seq[Int]], s: Seq[Int]): String =
-    planted.collectFirst { case (name, ids) if ids.toSet == s.toSet => name }.getOrElse("?")
-
-  def tableIII_IV(sets: Seq[DiffSet]): Seq[GroupRow] =
-    sets.filter(_.data == "DBLP").flatMap { ds =>
-      val g = ds.wg
-      val ad = DCSGreedy.run(g)
-      val ga = NewSea.run(g)
-      val gaSet = ga.best.supportSet.toSeq
-      Seq(
-        GroupRow(ds.setting, ds.gdType, "AvgDegree",
-          matchPlanted(ds.in.planted, ad.s.toSeq),
-          ad.s.toSeq.map(u => (ds.in.label(u), Double.NaN)),
-          ad.s.length, g.isPositiveClique(ad.s.toSeq),
-          ad.density, ad.ratio, Double.NaN, g.edgeDensity(ad.s.toSeq)),
-        GroupRow(ds.setting, ds.gdType, "Affinity",
-          matchPlanted(ds.in.planted, gaSet),
-          ga.best.embedding.map { case (u, w) => (ds.in.label(u), w) }.toSeq,
-          gaSet.length, g.isPositiveClique(gaSet),
-          g.density(gaSet), Double.NaN, ga.best.f, g.edgeDensity(gaSet)),
-      )
-    }
-
-  def renderIII_IV(rows: Seq[GroupRow]): String = {
-    val iv = rows.map { r =>
-      f"${r.setting}%-9s ${r.gdType}%-13s ${r.measure}%-10s ${r.groupName}%-11s ${r.size}%4d " +
-        f"${if (r.positiveClique) "Yes" else "No"}%-4s rho=${r.avgDegreeDiff}%8.3f ratio=${r.approxRatio}%5.2f " +
-        f"f=${r.affinityDiff}%8.3f edgeDensity=${r.edgeDensityDiff}%8.3f"
-    }
-    val iii = rows.filter(_.measure == "Affinity").map { r =>
-      s"  [${r.groupName}] " + r.members.map { case (a, w) => f"$a(${w}%.4f)" }.mkString(", ")
-    } ++ rows.filter(_.measure == "AvgDegree").map { r =>
-      s"  [${r.groupName}] " + r.members.map(_._1).mkString(", ")
-    }
-    ("Table IV rows:" +: iv) .mkString("\n") + "\n\nTable III groups:\n" + iii.distinct.mkString("\n")
+  /** One subgraph that `algo` found on `ds`, with the measures Tables IV,
+    * VIII, IX and X-XIV report for it, all in `G_D`.
+    *
+    * @param s       the vertex set, in the order the solver returned it
+    * @param weights NewSEA's simplex weights, aligned with `s`; empty otherwise
+    * @param rho     `rho_D(S)`: DCSGreedy's own `density`, else `density(s)`
+    * @param ratio   DCSGreedy's Thm 2 ratio; NaN for every other row
+    * @param f       NewSEA's affinity `f`; NaN for every other row
+    * @param w       `W_D(S)`: EgoScan's own `totalWeight`, else `inducedWeight(s)`
+    */
+  final case class Found(ds: DiffSet, algo: String, s: Seq[Int], weights: Seq[Double],
+                         rho: Double, ratio: Double, f: Double, w: Double) {
+    def size: Int = s.length
+    def edges: Int = ds.wg.inducedEdgeCount(s)
+    def positiveClique: Boolean = ds.wg.isPositiveClique(s)
+    def edgeDensity: Double = ds.wg.edgeDensity(s)
+    /** The planted group with exactly the vertices of `s`, or "?". */
+    def group: String =
+      ds.in.planted.collectFirst { case (name, ids) if ids.toSet == s.toSet => name }.getOrElse("?")
   }
+
+  /** DCSGreedy's row, then one row for each of its peels scored at line 7:
+    * "GD only" (`Greedy(G_D)`) and "GD+ only" (`Greedy(G_{D+})`), the sets
+    * `DCSGreedy.run` peeled itself. A `G_D` with no positive edge peels
+    * nothing, so it gives the DCSGreedy row alone; no table has one.
+    */
+  def dcsad(ds: DiffSet): Seq[Found] = {
+    val g = ds.wg
+    val r = DCSGreedy.run(g)
+    def peel(algo: String, c: Seq[Int]) =
+      Found(ds, algo, c, Nil, g.density(c), Double.NaN, Double.NaN, g.inducedWeight(c))
+    Found(ds, "DCSGreedy", r.s.toSeq, Nil, r.density, r.ratio, Double.NaN, g.inducedWeight(r.s.toSeq)) +:
+      r.candidates.collect {
+        case (c, DCSGreedy.PeelGD) => peel("GD only", c.toSeq)
+        case (c, DCSGreedy.PeelGDPlus) => peel("GD+ only", c.toSeq)
+      }
+  }
+
+  /** NewSEA's row: its best refined clique and simplex weights. */
+  def dcsga(ds: DiffSet): Found = {
+    val g = ds.wg
+    val best = NewSea.run(g).best
+    val s = best.supportSet.toSeq
+    Found(ds, "NewSEA", s, best.embedding.map(_._2).toSeq, g.density(s), Double.NaN, best.f, g.inducedWeight(s))
+  }
+
+  /** The EgoScan baseline's row. */
+  def egoScan(ds: DiffSet): Found = {
+    val g = ds.wg
+    val r = EgoScan.run(g)
+    val s = r.s.toSeq
+    Found(ds, "EgoScan", s, Nil, g.density(s), Double.NaN, Double.NaN, r.totalWeight)
+  }
+
+  def render(rows: Seq[Found]): String =
+    rows.map { r =>
+      f"${r.ds.key}%-28s ${r.algo}%-9s ${r.group}%-11s #V=${r.size}%5d #E=${r.edges}%6d " +
+        f"clique=${if (r.positiveClique) "Yes" else "No"}%-3s rho=${r.rho}%9.3f ratio=${r.ratio}%5.2f " +
+        f"f=${r.f}%9.4f edgeDensity=${r.edgeDensity}%9.4f W=${r.w}%9.1f"
+    }.mkString("\n")
+
+  /** Table III: the members of each NewSEA group with their simplex weights,
+    * then the members of each DCSGreedy group.
+    */
+  def renderGroups(rows: Seq[Found]): String =
+    (rows.filter(_.algo == "NewSEA").map { r =>
+      s"  [${r.group}] " + r.s.zip(r.weights).map { case (u, x) => f"${r.ds.in.label(u)}(${x}%.4f)" }.mkString(", ")
+    } ++ rows.filter(_.algo == "DCSGreedy").map { r =>
+      s"  [${r.group}] " + r.s.map(r.ds.in.label).mkString(", ")
+    }).distinct.mkString("\n")
 
   // -------------------------------------------------------- Tables V / VI
 
@@ -125,8 +145,8 @@ object Tables {
 
   final case class TimingRow(
       key: String,
-      newSeaMs: Double, newSeaInits: Int, newSeaF: Double,
-      seacdMs: Double, seacdF: Double,
+      newSeaMs: Double, newSeaInits: Int, newSeaF: Double, newSeaErrors: Int,
+      seacdMs: Double, seacdF: Double, seacdErrors: Int,
       seaMs: Double, seaF: Double, seaErrors: Int,
   )
 
@@ -143,7 +163,8 @@ object Tables {
       Console.err.println(f"[tableVII] ${ds.key}: SEACD+Refine ${tCd}%.0fms")
       val (sea, tSea) = ms(NewSea.allInits(g, useReplicator = true))
       Console.err.println(f"[tableVII] ${ds.key}: SEA+Refine ${tSea}%.0fms (${sea._1.errors} errors)")
-      TimingRow(ds.key, tNew, smart.initsUsed, smart.best.f, tCd, cd._1.best.f, tSea, sea._1.best.f, sea._1.errors)
+      TimingRow(ds.key, tNew, smart.initsUsed, smart.best.f, smart.errors, tCd, cd._1.best.f, cd._1.errors,
+        tSea, sea._1.best.f, sea._1.errors)
     }
 
   def renderVII(rows: Seq[TimingRow]): String = {
@@ -153,73 +174,4 @@ object Tables {
     }
     (header +: body).mkString("\n")
   }
-
-  // ----------------------------------------------------- Tables VIII / IX
-
-  final case class EgoRow(
-      setting: String, gdType: String,
-      size: Int, edges: Int, positiveClique: Boolean,
-      avgDegreeDiff: Double, edgeDensityDiff: Double,
-      wEgo: Double, wDcsGreedy: Double, wNewSea: Double,
-  )
-
-  def tableVIII_IX(sets: Seq[DiffSet]): Seq[EgoRow] =
-    sets.filter(_.data == "DBLP").map { ds =>
-      val g = ds.wg
-      val ego = EgoScan.run(g)
-      val dcs = DCSGreedy.run(g)
-      val ga = NewSea.run(g)
-      EgoRow(ds.setting, ds.gdType,
-        ego.s.length, g.inducedEdgeCount(ego.s.toSeq), g.isPositiveClique(ego.s.toSeq),
-        g.density(ego.s.toSeq), g.edgeDensity(ego.s.toSeq),
-        ego.totalWeight, g.inducedWeight(dcs.s.toSeq), g.inducedWeight(ga.best.supportSet.toSeq))
-    }
-
-  def renderVIII_IX(rows: Seq[EgoRow]): String = {
-    val header = f"${"Setting"}%-9s ${"GD Type"}%-13s ${"#V"}%5s ${"#E"}%6s ${"Clique?"}%8s ${"rho_D"}%9s ${"edgeDen"}%9s | ${"W(Ego)"}%9s ${"W(DCSGr)"}%9s ${"W(NewSEA)"}%10s"
-    val body = rows.map { r =>
-      f"${r.setting}%-9s ${r.gdType}%-13s ${r.size}%5d ${r.edges}%6d ${if (r.positiveClique) "Yes" else "No"}%8s ${r.avgDegreeDiff}%9.3f ${r.edgeDensityDiff}%9.4f | ${r.wEgo}%9.1f ${r.wDcsGreedy}%9.1f ${r.wNewSea}%10.1f"
-    }
-    (header +: body).mkString("\n")
-  }
-
-  // -------------------------------------------- Appendix tables X through XIV
-
-  final case class AdRow(key: String, algo: String, size: Int, avgDegree: Double,
-                         ratio: Double, positiveClique: Boolean)
-
-  /** Table XI/XII machinery: DCSGreedy vs Greedy(G_D) vs Greedy(G_{D+}),
-    * every candidate evaluated by its average degree in `G_D`.
-    */
-  def dcsadComparison(ds: DiffSet): Seq[AdRow] = {
-    val g = ds.wg
-    val dcs = DCSGreedy.run(g)
-    val gdOnly = Peeling.greedy(g)
-    val gdpOnly = Peeling.greedy(g.positivePart)
-    Seq(
-      AdRow(ds.key, "DCSGreedy", dcs.s.length, dcs.density, dcs.ratio, g.isPositiveClique(dcs.s.toSeq)),
-      AdRow(ds.key, "GD only", gdOnly.best.length, g.density(gdOnly.best.toSeq), Double.NaN,
-        g.isPositiveClique(gdOnly.best.toSeq)),
-      AdRow(ds.key, "GD+ only", gdpOnly.best.length, g.density(gdpOnly.best.toSeq), Double.NaN,
-        g.isPositiveClique(gdpOnly.best.toSeq)),
-    )
-  }
-
-  final case class GaRow(key: String, size: Int, f: Double, edgeDensity: Double)
-
-  /** Tables X/XIII/XIV machinery: the affinity DCS of one configuration. */
-  def dcsgaRow(ds: DiffSet): GaRow = {
-    val g = ds.wg
-    val r = NewSea.run(g)
-    val s = r.best.supportSet.toSeq
-    GaRow(ds.key, s.length, r.best.f, g.edgeDensity(s))
-  }
-
-  def renderAd(rows: Seq[AdRow]): String =
-    rows.map { r =>
-      f"${r.key}%-28s ${r.algo}%-10s #V=${r.size}%5d rho=${r.avgDegree}%9.3f ratio=${r.ratio}%5.2f clique=${if (r.positiveClique) "Yes" else "No"}"
-    }.mkString("\n")
-
-  def renderGa(rows: Seq[GaRow]): String =
-    rows.map(r => f"${r.key}%-28s #V=${r.size}%5d f=${r.f}%9.4f edgeDensity=${r.edgeDensity}%9.4f").mkString("\n")
 }

@@ -16,6 +16,7 @@ class DCSGreedySpec extends AnyFunSuite {
     assert(r.density == 0.0)
     assert(r.ratio == 1.0)
     assert(r.winner == SingleVertex && !r.split)
+    assert(r.candidates.map { case (c, k) => (c.toSeq, k) } == Seq((r.s.toSeq, SingleVertex)))
   }
 
   test("single positive edge graph") {
@@ -132,5 +133,18 @@ class DCSGreedySpec extends AnyFunSuite {
       seen += r.winner
     }
     assert(seen == Set(MaxEdge, PeelGD, PeelGDPlus), s"winners seen: $seen")
+  }
+
+  test("candidates is line 7's list: the heaviest edge, then both peels, and the winner is its first densest") {
+    for (seed <- 1 to 60; g <- Seq(TestKit.randomSigned(14, 0.3, 3.0, seed), TestKit.randomDiscrete(14, 0.3, 0.5, seed))) {
+      val r = DCSGreedy.run(g)
+      val Seq((edge, MaxEdge), (gd, PeelGD), (gdp, PeelGDPlus)) = r.candidates
+      val heaviest = (for (u <- 0 until g.n; v <- (u + 1) until g.n) yield (u, v)).maxBy { case (u, v) => g.weight(u, v) }
+      assert(edge.toSeq == Seq(heaviest._1, heaviest._2), s"seed=$seed")
+      assert(gd.sameElements(Peeling.greedy(g).best), s"seed=$seed")
+      assert(gdp.sameElements(Peeling.greedy(g.positivePart).best), s"seed=$seed")
+      val densest = r.candidates.map { case (c, _) => g.density(c) }.max
+      assert(r.winner == r.candidates.find { case (c, _) => g.density(c) == densest }.get._2, s"seed=$seed")
+    }
   }
 }

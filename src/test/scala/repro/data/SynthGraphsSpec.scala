@@ -154,4 +154,13 @@ class SynthGraphsSpec extends SparkSpec {
       assert(a == b)
     } finally saved.fold(spark.conf.unset(key))(spark.conf.set(key, _))
   }
+
+  test("generators reject n that leaves no background ids") {
+    // Douban's background starts at id 1350 and DM's at 31; Book's 1000 < 1350
+    for (gen <- Seq[() => Any](() => SynthGraphs.douban(spark, "Movie", 1350), () => SynthGraphs.dm(spark, 31, 10),
+                               () => SynthGraphs.douban(spark, "Book", 1000))) {
+      val e = intercept[IllegalArgumentException](gen())
+      assert(e.getMessage.contains("n = ") && e.getMessage.contains("lo = "), e.getMessage)
+    }
+  }
 }

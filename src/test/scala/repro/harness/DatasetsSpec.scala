@@ -1,6 +1,8 @@
 package repro.harness
 
 import repro.SparkSpec
+import repro.baseline.EgoScan
+import repro.core.{DCSGreedy, NewSea, Peeling}
 import repro.graph.WGraph
 
 class DatasetsSpec extends SparkSpec {
@@ -59,5 +61,27 @@ class DatasetsSpec extends SparkSpec {
     assert(sameEdges(acW, acD))
     assert(acW.wts.max > 10.0)
     assert(acD.wts.sameElements(acW.wts.map(math.min(_, 10.0))))
+  }
+
+  test("the Found rows carry the sets and measures of direct solver runs") {
+    sets.filter(_.data == "DBLP").foreach { ds =>
+      val g = ds.wg
+      val ad = DCSGreedy.run(g)
+      val Seq(dcs, gdOnly, gdpOnly) = Tables.dcsad(ds)
+      assert(dcs.algo == "DCSGreedy" && dcs.s == ad.s.toSeq, ds.key)
+      assert(dcs.rho == ad.density && dcs.ratio == ad.ratio && dcs.w == g.inducedWeight(ad.s.toSeq), ds.key)
+      for ((row, algo, peeled) <- Seq((gdOnly, "GD only", g), (gdpOnly, "GD+ only", g.positivePart))) {
+        val best = Peeling.greedy(peeled).best.toSeq
+        assert(row.algo == algo && row.s == best, s"${ds.key} $algo")
+        assert(row.rho == g.density(best) && row.ratio.isNaN && row.w == g.inducedWeight(best), s"${ds.key} $algo")
+      }
+      val ga = NewSea.run(g).best
+      val sea = Tables.dcsga(ds)
+      assert(sea.s == ga.supportSet.toSeq && sea.weights == ga.embedding.map(_._2).toSeq, ds.key)
+      assert(sea.f == ga.f && sea.rho == g.density(sea.s) && sea.w == g.inducedWeight(sea.s), ds.key)
+      val eg = EgoScan.run(g)
+      val ego = Tables.egoScan(ds)
+      assert(ego.s == eg.s.toSeq && ego.w == eg.totalWeight && ego.rho == g.density(ego.s), ds.key)
+    }
   }
 }
