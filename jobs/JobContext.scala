@@ -5,7 +5,8 @@ import org.apache.spark.sql.SparkSession
 /** The SparkSession every driver program outside the test suites starts
   * from: master from `SPARK_MASTER` (default `local[*]`) and broadcast joins
   * off, so DistPeeling's edge filters, the only joins, always shuffle. The
-  * paper tables themselves run through the bench suites (`sbt "bench/test"`).
+  * paper tables themselves run through the claim classes of the test sources:
+  * `sbt test` runs them at `Sizes.tiny`, `sbt "bench/test"` at `Sizes.bench`.
   */
 object JobContext {
   def spark(name: String): SparkSession =

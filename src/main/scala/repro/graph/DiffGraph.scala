@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Statistics of a difference graph, one row of the paper's Table II.
@@ -130,17 +130,5 @@ object DiffGraph {
       id.toInt
     }
     WGraph.fromEdges(n, rows.map(r => vertex(r._1)), rows.map(r => vertex(r._2)), rows.map(_._3))
-  }
-
-  /** Lifts a local graph into a canonical edge-list DataFrame. */
-  def toDF(spark: SparkSession, g: WGraph): DataFrame = {
-    import spark.implicits._
-    val edges = scala.collection.mutable.ArrayBuffer.empty[(Long, Long, Double)]
-    var u = 0
-    while (u < g.n) {
-      g.foreachNbr(u) { (v, w) => if (v > u) edges += ((u.toLong, v.toLong, w)) }
-      u += 1
-    }
-    edges.toSeq.toDF("src", "dst", "w")
   }
 }

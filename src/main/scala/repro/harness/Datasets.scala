@@ -25,6 +25,9 @@ final case class DiffSet(data: String, setting: String, gdType: String, in: TwoG
   * 115,000 (Movie) / 100,000 (Book) background pairs among ids `1350 until
   * doubanN`, about 1.3% / 1.2% of those pairs at `bench` (4,150 ids) but
   * 42% / 38% at `tiny` (650 ids, about 88.6k / 79.7k distinct pairs).
+  *
+  * Actor's weight distribution is not preserved either: its Weighted
+  * configuration averages 1.40 at `tiny`, against 1.101 in the paper.
   */
 final case class Sizes(
     dblpN: Int, dblpBg: Long,

@@ -7,10 +7,11 @@ import repro.graph.{DiffGraph, GraphStats, WGraph}
 
 /** Computations behind every table of the paper's evaluation section.
   *
-  * Each table's builder returns structured rows (asserted by the bench
-  * suites), and a `render` helper prints them; the paper's published numbers
-  * are recorded next to ours in EXPERIMENTS.md. Every table that reports
-  * found subgraphs (III/IV, VIII/IX, X-XIV) reads [[Found]] rows.
+  * Each table's function returns structured rows (asserted by the claim
+  * classes of the test sources), and a `render` helper prints them; the
+  * paper's published numbers are recorded next to ours in EXPERIMENTS.md.
+  * Every table that reports found subgraphs (III/IV, VIII/IX, X-XIV) reads
+  * [[Found]] rows.
   */
 object Tables {
 

@@ -1,5 +1,6 @@
 package repro
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
 import repro.graph.WGraph
 
@@ -57,6 +58,18 @@ object TestKit {
       }
     }
     if (bestRho <= 0.0) (rounds.toSeq, Set.empty, 0.0) else (rounds.toSeq, best, bestRho)
+  }
+
+  /** Lifts a local graph into a canonical edge-list DataFrame. */
+  def toDF(spark: SparkSession, g: WGraph): DataFrame = {
+    import spark.implicits._
+    val edges = scala.collection.mutable.ArrayBuffer.empty[(Long, Long, Double)]
+    var u = 0
+    while (u < g.n) {
+      g.foreachNbr(u) { (v, w) => if (v > u) edges += ((u.toLong, v.toLong, w)) }
+      u += 1
+    }
+    edges.toSeq.toDF("src", "dst", "w")
   }
 
   /** Reference for `Peeling.greedy`: the same peel on a boxed

@@ -1,7 +1,7 @@
-package repro.bench
+package repro.claims
 
-import repro.SparkSpec
-import repro.harness.Tables
+import repro.{Configs, SparkSpec}
+import repro.harness.{DiffSet, Tables}
 
 /** Reproduces the appendix tables X-XIV (Wiki, Douban, DBLP-C, Actor).
   *
@@ -11,26 +11,24 @@ import repro.harness.Tables
   * 18 -> 0.944, 14 -> 0.929, 22 -> 0.955); DBLP-C Weighted finds the heavy
   * pair (f = 200), Actor Weighted a heavy triangle (f ~ 108).
   */
-class AppendixBench extends SparkSpec {
+abstract class AppendixClaims(sets: => Seq[DiffSet]) extends SparkSpec {
 
-  private def ds(key: String) = BenchData.byKey(key)
+  private def ds(key: String) = Configs.byKey(sets, key)
 
   private lazy val wikiGa = Seq("Wiki/-/Consistent", "Wiki/-/Conflicting").map(k => Tables.dcsga(ds(k)))
   private lazy val wikiAd = Seq("Wiki/-/Consistent", "Wiki/-/Conflicting").flatMap(k => Tables.dcsad(ds(k)))
   private lazy val doubanKeys = Seq("Movie/-/Interest-Social", "Movie/-/Social-Interest",
     "Book/-/Interest-Social", "Book/-/Social-Interest")
-  private lazy val doubanAd = doubanKeys.flatMap(k => Tables.dcsad(ds(k)))
+  protected lazy val doubanAd = doubanKeys.flatMap(k => Tables.dcsad(ds(k)))
   private lazy val doubanGa = doubanKeys.map(k => Tables.dcsga(ds(k)))
   private lazy val bigGa = Seq("DBLP-C/Weighted/-", "DBLP-C/Discrete/-",
     "Actor/Weighted/-", "Actor/Discrete/-").map(k => Tables.dcsga(ds(k)))
 
-  test("print appendix tables") {
-    println("==== Table X (Wiki DCSGA) ====");    println(Tables.render(wikiGa))
-    println("==== Table XI (Wiki DCSAD) ====");   println(Tables.render(wikiAd))
-    println("==== Table XII (Douban DCSAD) ===="); println(Tables.render(doubanAd))
-    println("==== Table XIII (Douban DCSGA) ===="); println(Tables.render(doubanGa))
-    println("==== Table XIV (DBLP-C / Actor DCSGA) ===="); println(Tables.render(bigGa))
-  }
+  /** Tables X-XIV's rows as text. */
+  def rendered: String = Seq(
+    "X (Wiki DCSGA)" -> wikiGa, "XI (Wiki DCSAD)" -> wikiAd, "XII (Douban DCSAD)" -> doubanAd,
+    "XIII (Douban DCSGA)" -> doubanGa, "XIV (DBLP-C / Actor DCSGA)" -> bigGa,
+  ).map { case (table, rs) => s"== Table $table\n${Tables.render(rs)}" }.mkString("\n")
 
   test("Table X: Wiki affinity groups are small (paper: 5 and 6 users, f 6.9 / 6.46)") {
     val cons = wikiGa.head; val conf = wikiGa(1)
@@ -50,26 +48,16 @@ class AppendixBench extends SparkSpec {
     assert(cons.ratio < 4.0 && conf.ratio < 4.0, "paper: 2.13 / 2.06")
   }
 
-  test("Table XII: Douban avg-degree groups are big non-cliques; Movie I-S denser, Book S-I denser") {
-    val rows = doubanAd.filter(_.algo == "DCSGreedy")
-    rows.foreach { r => assert(r.size > 50 && !r.positiveClique, s"${r.ds.key}: ${r.size}") }
-    val mvIS = rows.find(_.ds.key.startsWith("Movie/-/Interest")).get
-    val mvSI = rows.find(_.ds.key.startsWith("Movie/-/Social")).get
-    val bkIS = rows.find(_.ds.key.startsWith("Book/-/Interest")).get
-    val bkSI = rows.find(_.ds.key.startsWith("Book/-/Social")).get
-    assert(mvIS.rho > mvSI.rho, "paper: Movie 176 > 68")
-    assert(bkSI.rho > bkIS.rho, "paper: Book 71 > 43")
-  }
-
-  test("Table XIII: Douban affinity groups match Motzkin-Straus exactly") {
+  test("Table XIII: Douban affinity groups are the planted cliques and match Motzkin-Straus exactly") {
     val expected = Map(
-      "Movie/-/Interest-Social" -> (32, 1.0 - 1.0 / 32),
-      "Movie/-/Social-Interest" -> (18, 1.0 - 1.0 / 18),
-      "Book/-/Interest-Social" -> (14, 1.0 - 1.0 / 14),
-      "Book/-/Social-Interest" -> (22, 1.0 - 1.0 / 22),
+      "Movie/-/Interest-Social" -> ("InterestClique", 32, 1.0 - 1.0 / 32),
+      "Movie/-/Social-Interest" -> ("SocialClique", 18, 1.0 - 1.0 / 18),
+      "Book/-/Interest-Social" -> ("InterestClique", 14, 1.0 - 1.0 / 14),
+      "Book/-/Social-Interest" -> ("SocialClique", 22, 1.0 - 1.0 / 22),
     )
     doubanGa.foreach { r =>
-      val (k, f) = expected(r.ds.key)
+      val (group, k, f) = expected(r.ds.key)
+      assert(r.group == group, s"${r.ds.key}: group ${r.group}")
       assert(r.size == k, s"${r.ds.key}: size ${r.size} (paper: $k)")
       assert(math.abs(r.f - f) < 1e-3, s"${r.ds.key}: f ${r.f} (paper: $f)")
     }
@@ -89,3 +77,5 @@ class AppendixBench extends SparkSpec {
     assert(gaSizes.max < adSizes.min, s"ga ${gaSizes.toSeq} vs ad ${adSizes.toSeq}")
   }
 }
+
+class AppendixTiny extends AppendixClaims(Configs.tiny)

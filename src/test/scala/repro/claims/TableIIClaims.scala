@@ -1,7 +1,7 @@
-package repro.bench
+package repro.claims
 
-import repro.SparkSpec
-import repro.harness.Tables
+import repro.{Configs, SparkSpec}
+import repro.harness.{DiffSet, Tables}
 
 /** Reproduces Table II: statistics of the 16 difference graphs.
   *
@@ -9,15 +9,13 @@ import repro.harness.Tables
   * *shape*: sign balance per dataset, the planted weight extremes, and the
   * relative m+/m- orderings the paper's analysis relies on.
   */
-class TableIIBench extends SparkSpec {
+abstract class TableIIClaims(sets: => Seq[DiffSet]) extends SparkSpec {
 
-  private lazy val rows = Tables.tableII(BenchData.sets)
-  private def stat(key: String) = rows.find(_._1.key == key).get._2
+  private lazy val rows = Tables.tableII(sets)
+  protected def stat(key: String) = rows.find(_._1.key == key).get._2
 
-  test("print Table II") {
-    println("==== Table II (ours, bench scale) ====")
-    println(Tables.renderII(rows))
-  }
+  /** The table's rows as text. */
+  def rendered: String = "== Table II\n" + Tables.renderII(rows)
 
   test("DBLP extremes match the paper exactly (max 46 / min -100, flipped for Disappearing)") {
     val em = stat("DBLP/Weighted/Emerging")
@@ -64,13 +62,6 @@ class TableIIBench extends SparkSpec {
     assert(d.mPos == w.mPos && d.mNeg == w.mNeg, "paper Table II shows identical counts")
     assert(d.maxW == 2.0 && d.minW == -2.0)
   }
-
-  test("Actor: no negative edges, max 216, avg ~1.1; Discrete caps at 10") {
-    val w = stat("Actor/Weighted/-")
-    val d = stat("Actor/Discrete/-")
-    assert(w.mNeg == 0 && d.mNeg == 0)
-    assert(w.maxW == 216.0 && w.minW >= 1.0)
-    assert(w.avgW > 1.0 && w.avgW < 1.3, s"avg ${w.avgW} (paper: 1.101)")
-    assert(d.maxW == 10.0 && d.mPos == w.mPos)
-  }
 }
+
+class TableIITiny extends TableIIClaims(Configs.tiny)

@@ -1,7 +1,7 @@
-package repro.bench
+package repro.claims
 
-import repro.SparkSpec
-import repro.harness.Tables
+import repro.{Configs, SparkSpec}
+import repro.harness.{DiffSet, Tables}
 
 /** Reproduces Tables V and VI: data mining topics by graph affinity.
   *
@@ -15,18 +15,18 @@ import repro.harness.Tables
   * paper-internal inconsistency that puts the disappeared topics on top of
   * our G1 list.)
   */
-class TableV_VIBench extends SparkSpec {
+abstract class TableV_VIClaims(sets: => Seq[DiffSet]) extends SparkSpec {
 
-  private lazy val t = Tables.tableV_VI(BenchData.sets)
+  private lazy val t = Tables.tableV_VI(sets)
   private def words(topic: (Seq[(String, Double)], Double)): Set[String] = topic._1.map(_._1).toSet
 
-  test("print Tables V and VI") {
-    println("==== Tables V / VI (ours, bench scale) ====")
-    println(Tables.renderTopics("Table V emerging", t.emerging))
-    println(Tables.renderTopics("Table V disappearing", t.disappearing))
-    println(Tables.renderTopics("Table VI G1 (early period)", t.g1Top))
-    println(Tables.renderTopics("Table VI G2 (recent period)", t.g2Top))
-  }
+  /** The four topic lists as text. */
+  def rendered: String = Seq(
+    Tables.renderTopics("Table V emerging", t.emerging),
+    Tables.renderTopics("Table V disappearing", t.disappearing),
+    Tables.renderTopics("Table VI G1 (early period)", t.g1Top),
+    Tables.renderTopics("Table VI G2 (recent period)", t.g2Top),
+  ).mkString("== Tables V / VI\n", "\n", "")
 
   test("top emerging topic is {social, networks} with f ~ 0.994") {
     assert(words(t.emerging.head) == Set("social", "networks"))
@@ -44,8 +44,9 @@ class TableV_VIBench extends SparkSpec {
     assert(t.emerging.map(words) == expected, t.emerging.map(words).toString)
   }
 
-  test("top disappearing topic is {mining, association, rules}") {
+  test("top disappearing topic is {mining, association, rules} with f in (2.5, 3.5)") {
     assert(words(t.disappearing.head) == Set("mining", "association", "rules"))
+    assert(t.disappearing.head._2 > 2.5 && t.disappearing.head._2 < 3.5, s"f=${t.disappearing.head._2}")
   }
 
   test("disappearing top-5 matches the paper's topics in order") {
@@ -81,3 +82,5 @@ class TableV_VIBench extends SparkSpec {
     assert(g1Sets.contains(Set("time", "series")))
   }
 }
+
+class TableV_VITiny extends TableV_VIClaims(Configs.tiny)

@@ -1,7 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.DataFrame
-import repro.{Oracle, SparkSpec}
+import repro.{Configs, Oracle, SparkSpec, TestKit}
 
 class DiffGraphSpec extends SparkSpec {
 
@@ -147,9 +147,32 @@ class DiffGraphSpec extends SparkSpec {
     assert(g.weight(1, 4) == -1.5)
     assert(g.weight(6, 7) == 4.0)
     assert(g.numEdges == 4)
-    val back = DiffGraph.toDF(spark, g)
+    val back = TestKit.toDF(spark, g)
     val rows = back.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSet
     assert(rows == diff.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSet)
+  }
+
+  test("difference graph via Spark equals local subtraction on DBLP") {
+    val ds = Configs.byKey(Configs.tiny, "DBLP/Weighted/Emerging")
+    val gD = ds.wg
+    // spot-check: a planted pair and a background edge
+    assert(gD.weight(0, 1) == 46.0)
+    assert(gD.weight(18, 19) == -100.0)
+    val total = DiffGraph.stats(ds.df, ds.n)
+    assert(total.mPos.toInt + total.mNeg.toInt == gD.numEdges)
+    // sum w2 - sum w1 per canonical pair of the raw records, zeros dropped
+    val sums = ds.in.pairs
+      .select(col("src").cast("long"), col("dst").cast("long"), col("w1").cast("double"), col("w2").cast("double"))
+      .collect().toSeq
+      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt, r.getDouble(2), r.getDouble(3)))
+      .filter { case (u, v, _, _) => u != v }
+      .groupMapReduce { case (u, v, _, _) => (u min v, u max v) } { case (_, _, w1, w2) => (w1, w2) } {
+        case ((a1, a2), (b1, b2)) => (a1 + b1, a2 + b2)
+      }
+    val local = WGraph(ds.n, sums.toSeq.collect { case ((u, v), (s1, s2)) if s2 - s1 != 0.0 => (u, v, s2 - s1) })
+    assert(local.offsets.sameElements(gD.offsets))
+    assert(local.nbrs.sameElements(gD.nbrs))
+    assert(local.wts.sameElements(gD.wts))
   }
 
   test("toWGraph rejects vertex ids outside [0, n)") {

@@ -1,18 +1,14 @@
 package repro.harness
 
-import repro.SparkSpec
+import repro.{Configs, SparkSpec}
 import repro.baseline.EgoScan
 import repro.core.{DCSGreedy, NewSea, Peeling}
 import repro.graph.WGraph
 
 class DatasetsSpec extends SparkSpec {
 
-  // small enough to build all 16 configurations in seconds; every n is above
-  // its generator's planted ids (Douban's background starts at id 1350)
-  private val small = Sizes(400, 2000, 200, 2000, 400, 2000, 1500, 300, 2000, 300, 2000)
-  private lazy val in = Datasets.inputs(spark, small)
-  private lazy val sets = Datasets.configs(in)
-  private def wg(key: String): WGraph = sets.find(_.key == key).get.wg
+  private def sets = Configs.tiny
+  private def wg(key: String): WGraph = Configs.byKey(sets, key).wg
 
   private def sameCsr(a: WGraph, b: WGraph): Boolean =
     a.n == b.n && a.offsets.sameElements(b.offsets) && a.nbrs.sameElements(b.nbrs) && a.wts.sameElements(b.wts)
@@ -28,11 +24,12 @@ class DatasetsSpec extends SparkSpec {
       "DBLP-C/Weighted/-", "DBLP-C/Discrete/-",
       "Actor/Weighted/-", "Actor/Discrete/-",
     ))
-    val n = Map("DBLP" -> small.dblpN, "DM" -> small.dmN, "Wiki" -> small.wikiN, "Movie" -> small.doubanN,
-      "Book" -> small.doubanN, "DBLP-C" -> small.dblpcN, "Actor" -> small.actorN)
-    assert(in.keySet == n.keySet)
+    val t = Sizes.tiny
+    val n = Map("DBLP" -> t.dblpN, "DM" -> t.dmN, "Wiki" -> t.wikiN, "Movie" -> t.doubanN,
+      "Book" -> t.doubanN, "DBLP-C" -> t.dblpcN, "Actor" -> t.actorN)
+    assert(Configs.tinyInputs.keySet == n.keySet)
     sets.foreach { ds =>
-      assert(ds.in eq in(ds.data), ds.key)
+      assert(ds.in eq Configs.tinyInputs(ds.data), ds.key)
       assert(ds.n == n(ds.data) && ds.wg.n == ds.n, ds.key)
     }
   }
