@@ -130,17 +130,49 @@ object NewSea {
 
   /** Section VI-C post-processing: drops empty supports, keeps the first of
     * each support in input order, drops strict subsets of another support
-    * and stable-sorts by descending affinity. The subset scan is `O(C^2)`
-    * over the `C` distinct cliques.
+    * (compared as sets) and stable-sorts by descending affinity.
+    *
+    * A clique can only be a strict subset of a larger clique that holds its
+    * rarest vertex, so each of the `C` distinct cliques is merged only
+    * against the strictly larger cliques on that vertex's posting list. The
+    * posting lists are CSR arrays over the supports' vertices, ranked densely
+    * so that any vertex id fits. The cost is one sort of the `L` support
+    * entries plus, per clique, its rarest vertex's list times its size,
+    * instead of `C^2` set tests.
     */
   def dropSubsetCliques(cs: Seq[AffinityResult]): Seq[AffinityResult] = {
     val arr = cs.filter(_.supportSet.nonEmpty).distinctBy(_.supportSet.toSeq).toArray
-    val sets = arr.map(_.supportSet.toSet)
+    val ids = arr.flatMap(_.supportSet).sorted.distinct
+    // each support as the sorted distinct ranks of its vertices in ids
+    val sets = arr.map(_.supportSet.map(java.util.Arrays.binarySearch(ids, _)).sorted.distinct)
+    // posting lists: holders(start(v) until start(v + 1)) are the cliques that contain v
+    val start = new Array[Int](ids.length + 1)
+    for (s <- sets; v <- s) start(v + 1) += 1
+    for (v <- ids.indices) start(v + 1) += start(v)
+    val holders = new Array[Int](start(ids.length))
+    val fill = start.clone()
+    for (i <- sets.indices; v <- sets(i)) { holders(fill(v)) = i; fill(v) += 1 }
     arr.indices
       .filterNot { i =>
-        arr.indices.exists(j => sets(i).size < sets(j).size && sets(i).subsetOf(sets(j)))
+        val s = sets(i)
+        val rare = s.minBy(v => start(v + 1) - start(v))
+        (start(rare) until start(rare + 1)).exists { p =>
+          val t = sets(holders(p))
+          s.length < t.length && sortedSubset(s, t)
+        }
       }
       .map(arr)
       .sortBy(-_.f)
+  }
+
+  /** Whether sorted distinct `a` is a subset of sorted distinct `b`, by one merge. */
+  private def sortedSubset(a: Array[Int], b: Array[Int]): Boolean = {
+    var i = 0
+    var j = 0
+    while (i < a.length && j < b.length && a(i) >= b(j)) {
+      if (a(i) == b(j)) i += 1
+      j += 1
+    }
+    i == a.length
   }
 }

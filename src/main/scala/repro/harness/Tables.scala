@@ -159,11 +159,8 @@ object Tables {
       val (smart, tNew1) = ms(NewSea.run(g))
       val (_, tNew2) = ms(NewSea.run(g))
       val tNew = math.min(tNew1, tNew2)
-      Console.err.println(f"[tableVII] ${ds.key}: NewSEA ${tNew}%.0fms (${smart.initsUsed} inits)")
       val (cd, tCd) = ms(NewSea.allInits(g, useReplicator = false))
-      Console.err.println(f"[tableVII] ${ds.key}: SEACD+Refine ${tCd}%.0fms")
       val (sea, tSea) = ms(NewSea.allInits(g, useReplicator = true))
-      Console.err.println(f"[tableVII] ${ds.key}: SEA+Refine ${tSea}%.0fms (${sea._1.errors} errors)")
       TimingRow(ds.key, tNew, smart.initsUsed, smart.best.f, smart.errors, tCd, cd._1.best.f, cd._1.errors,
         tSea, sea._1.best.f, sea._1.errors)
     }

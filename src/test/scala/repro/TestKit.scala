@@ -298,4 +298,19 @@ object TestKit {
     }
     NewSea.MultiResult(best, k, errors)
   }
+
+  /** Reference for `NewSea.dropSubsetCliques`: the all-pairs scan over
+    * `Set[Int]` supports, `O(C^2)` in the `C` distinct cliques, whose list
+    * and order the vertex-indexed version must reproduce.
+    */
+  def allPairsDropSubsetCliques(cs: Seq[AffinityResult]): Seq[AffinityResult] = {
+    val arr = cs.filter(_.supportSet.nonEmpty).distinctBy(_.supportSet.toSeq).toArray
+    val sets = arr.map(_.supportSet.toSet)
+    arr.indices
+      .filterNot { i =>
+        arr.indices.exists(j => sets(i).size < sets(j).size && sets(i).subsetOf(sets(j)))
+      }
+      .map(arr)
+      .sortBy(-_.f)
+  }
 }

@@ -183,4 +183,40 @@ object AffinityProps extends Properties("DCSGA") {
       sameAsFresh && reused.supportSize == 0 && reused.support.isEmpty &&
         (0 until g.n).forall(u => reused.x(u) == 0.0 && reused.dx(u) == 0.0)
     }
+
+  /** Families of supports for `dropSubsetCliques`: each support is a random
+    * subset of eight vertex ids at `offset` (empty and singletons among
+    * them) or a copy, a prefix, a reordering or a one-vertex extension of an
+    * earlier one. Copies repeat a set in the same or another order, prefixes
+    * and extensions make nested chains, and `f` takes four values, so ties
+    * are common.
+    */
+  private val genSupports: Gen[Seq[AffinityResult]] = for {
+    offset <- Gen.oneOf(0, 1 << 20, Int.MaxValue - 8)
+    size <- Gen.choose(0, 40)
+    seed <- Gen.choose(0L, 100000L)
+  } yield {
+    val rnd = new scala.util.Random(seed)
+    val supports = scala.collection.mutable.ArrayBuffer.empty[Array[Int]]
+    for (_ <- 0 until size) supports += {
+      lazy val prev = supports(rnd.nextInt(supports.length))
+      if (supports.isEmpty || rnd.nextInt(5) == 0) rnd.shuffle((0 until 8).toList).take(rnd.nextInt(6)).map(offset + _).toArray
+      else rnd.nextInt(4) match {
+        case 0 => prev
+        case 1 => prev.take(rnd.nextInt(prev.length + 1))
+        case 2 => rnd.shuffle(prev.toList).toArray
+        case _ =>
+          val missing = (offset until offset + 8).filterNot(prev.contains)
+          if (missing.isEmpty) prev else prev :+ missing(rnd.nextInt(missing.length))
+      }
+    }
+    supports.toSeq.map(s => AffinityResult(s.map(u => (u, 1.0 / s.length)), rnd.nextInt(4) * 0.5))
+  }
+
+  property("dropSubsetCliques returns the all-pairs scan's cliques in its order") =
+    Prop.forAll(genSupports) { cs =>
+      val got = NewSea.dropSubsetCliques(cs)
+      val want = TestKit.allPairsDropSubsetCliques(cs)
+      got.length == want.length && got.zip(want).forall { case (a, b) => a.embedding.sameElements(b.embedding) && a.f == b.f }
+    }
 }
